@@ -57,6 +57,26 @@ fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
     times[times.len() / 2] as f64
 }
 
+/// The round-by-round frame baseline: one `run_round_bitset_into` call
+/// per round, heard bits scattered into `heard` (shaped `n × len`).
+fn drive_round_by_round(net: &mut BeepNetwork, frames: &[Option<BitVec>], heard: &mut [BitVec]) {
+    let n = frames.len();
+    let mut beepers = BitVec::zeros(n);
+    let mut received = BitVec::zeros(n);
+    for h in heard.iter_mut() {
+        h.clear();
+    }
+    for i in 0..heard.first().map_or(0, BitVec::len) {
+        for (v, frame) in frames.iter().enumerate() {
+            beepers.set(v, frame.as_ref().is_some_and(|f| f.get(i)));
+        }
+        net.run_round_bitset_into(&beepers, &mut received).unwrap();
+        for v in received.iter_ones() {
+            heard[v].set(i, true);
+        }
+    }
+}
+
 fn bench_round_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("round_engine");
     let mut metrics: Vec<(String, f64)> = Vec::new();
@@ -140,8 +160,9 @@ fn bench_frame_kernel(c: &mut Criterion) {
         .map(|v| (v % (n / BEEPERS) == 0).then(|| BitVec::random_uniform(len, &mut rng)))
         .collect();
     let mut net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 4);
-    group.bench_function(format!("run_frame n={n} len={len}"), |b| {
-        b.iter(|| black_box(net.run_frame(black_box(&frames)).unwrap()));
+    let mut heard = vec![BitVec::zeros(len); n];
+    group.bench_function(format!("round-by-round n={n} len={len}"), |b| {
+        b.iter(|| drive_round_by_round(&mut net, black_box(&frames), &mut heard));
     });
     let mut batched_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 4);
     group.bench_function(format!("run_frames_batched n={n} len={len}"), |b| {
@@ -157,9 +178,8 @@ fn bench_frame_kernel(c: &mut Criterion) {
 
     // Direct per-round vs batched comparison for the metrics file.
     let mut f_net = BeepNetwork::new(graph.clone(), Noise::Noiseless, 5);
-    let mut heard = Vec::new();
     let frame_ns = median_nanos(15, || {
-        f_net.run_frame_into(&frames, len, &mut heard).unwrap();
+        drive_round_by_round(&mut f_net, &frames, &mut heard);
         black_box(&heard);
     });
     let mut b_net = BeepNetwork::new(graph, Noise::Noiseless, 5);

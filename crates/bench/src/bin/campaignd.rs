@@ -39,6 +39,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
+/// Largest request body the daemon accepts (1 MiB — the checked-in specs
+/// are a few KiB). A larger `Content-Length` is answered with 413 before
+/// any buffer is allocated, so one request cannot exhaust the process.
+const MAX_BODY_BYTES: usize = 1 << 20;
+
 /// Where a submitted campaign is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobStatus {
@@ -239,7 +244,7 @@ impl Response {
 fn handle_connection(mut stream: TcpStream, daemon: &Arc<Daemon>) -> std::io::Result<()> {
     let response = match read_request(&mut stream) {
         Ok(request) => route(daemon, &request),
-        Err(detail) => Response::error(400, "Bad Request", &detail),
+        Err(response) => response,
     };
     write!(
         stream,
@@ -253,25 +258,30 @@ fn handle_connection(mut stream: TcpStream, daemon: &Arc<Daemon>) -> std::io::Re
 }
 
 /// Reads request line + headers + `Content-Length` body. Anything
-/// malformed is a 400 with the detail.
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// malformed is a 400 with the detail; a body over [`MAX_BODY_BYTES`] is a
+/// 413, decided from the header alone.
+fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
+    let bad = |detail: String| Response::error(400, "Bad Request", &detail);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader
         .read_line(&mut line)
-        .map_err(|e| format!("request line: {e}"))?;
+        .map_err(|e| bad(format!("request line: {e}")))?;
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
+    let method = parts
+        .next()
+        .ok_or_else(|| bad("empty request line".into()))?
+        .to_string();
     let path = parts
         .next()
-        .ok_or("request line missing a path")?
+        .ok_or_else(|| bad("request line missing a path".into()))?
         .to_string();
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
         reader
             .read_line(&mut header)
-            .map_err(|e| format!("headers: {e}"))?;
+            .map_err(|e| bad(format!("headers: {e}")))?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -281,14 +291,21 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
                 content_length = value
                     .trim()
                     .parse()
-                    .map_err(|_| format!("bad Content-Length {value:?}"))?;
+                    .map_err(|_| bad(format!("bad Content-Length {value:?}")))?;
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        return Err(Response::error(
+            413,
+            "Payload Too Large",
+            &format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"),
+        ));
     }
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| format!("body: {e}"))?;
+        .map_err(|e| bad(format!("body: {e}")))?;
     Ok(Request { method, path, body })
 }
 

@@ -34,14 +34,15 @@ const PARALLEL_WORK_BUDGET: usize = 1 << 16;
 /// per beeper). Cost-only — both strategies write the same bits.
 const GATHER_DENSITY_FACTOR: usize = 16;
 
-/// Rounds per cache block of [`BeepNetwork::run_frames_batched`]. Each
-/// block walks the adjacency once per shard for all its rounds, so a
-/// shard's working set (its output words × block rounds plus the beeper
-/// bitmaps) stays hot in L2 instead of being evicted between rounds.
-/// Purely a performance knob — the batched driver is byte-identical to
-/// round-by-round [`BeepNetwork::run_frame`] at every block size, because
-/// noise stays keyed by `(seed, round, shard)` and the fault overlay runs
-/// round-sequentially in the pre-pass.
+/// Rounds per cache block of [`BeepNetwork::run_frames_batched`]'s fault
+/// path (the round-major driver that runs only while a [`FaultPlan`] is
+/// installed). Each block walks the adjacency once per shard for all its
+/// rounds, so a shard's working set (its output words × block rounds plus
+/// the beeper bitmaps) stays hot in L2 instead of being evicted between
+/// rounds. Purely a performance knob — the driver is byte-identical to
+/// round-by-round [`BeepNetwork::run_round_bitset_into`] at every block
+/// size, because noise stays keyed by `(seed, round, shard)` and the fault
+/// overlay runs round-sequentially in the pre-pass.
 const FRAME_BLOCK_ROUNDS: usize = 32;
 
 /// The implicit topologies the zero-storage OR kernel computes on the fly
@@ -140,6 +141,59 @@ fn or_words_wide(dst: &mut [u64], src: &[u64]) {
     for (d1, s1) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *d1 |= *s1;
     }
+}
+
+/// Transposes a 64×64 bit matrix in place, LSB-first: bit `i` of word `j`
+/// becomes bit `j` of word `i`. Six rounds of block swaps (32×32 blocks,
+/// then 16×16, … 1×1), each a masked shift-XOR over word pairs. The
+/// node-major frame driver uses it to turn 64 nodes' 64-round frame words
+/// into 64 rounds' 64-node words and back.
+fn transpose64(tile: &mut [u64]) {
+    let a: &mut [u64; 64] = tile.try_into().expect("a transpose tile is 64 words");
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while width != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = ((a[k] >> width) ^ a[k + width]) & mask;
+            a[k] ^= t << width;
+            a[k + width] ^= t;
+            k = (k + width + 1) & !width;
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
+/// Fills `tile` with word `block` of the 64 per-node strings of node group
+/// `group` (nodes `64·group ..`; a node without a string reads as zero)
+/// and transposes it, so word `i` holds round `64·block + i` of those 64
+/// nodes.
+fn gather_tile<'a>(
+    tile: &mut [u64],
+    group: usize,
+    block: usize,
+    string_of: impl Fn(usize) -> Option<&'a BitVec>,
+) {
+    for (j, w) in tile.iter_mut().enumerate() {
+        *w = string_of(group * 64 + j).map_or(0, |s| s.as_words()[block]);
+    }
+    transpose64(tile);
+}
+
+/// Copies round `i` out of a buffer of transposed 64-word tiles: word `g`
+/// of `dst` is word `i` of tile `g`.
+fn round_words(dst: &mut [u64], tiles: &[u64], i: usize) {
+    for (d, tile) in dst.iter_mut().zip(tiles.chunks_exact(64)) {
+        *d = tile[i];
+    }
+}
+
+/// The index of the highest set bit, if any.
+fn last_one(bits: &BitVec) -> Option<usize> {
+    let words = bits.as_words();
+    let k = words.iter().rposition(|&w| w != 0)?;
+    Some(k * 64 + 63 - words[k].leading_zeros() as usize)
 }
 
 /// Bits `bit .. bit+64` of `src` as one word, with everything outside
@@ -928,9 +982,9 @@ impl BeepNetwork {
     /// [`run_round_bitset`](Self::run_round_bitset) writing into a caller
     /// buffer: `received` is entirely overwritten (and reallocated only if
     /// its length is wrong), so a round loop reuses one allocation.
-    /// [`run_frame`](Self::run_frame) and
-    /// [`run_protocols`](Self::run_protocols) drive their per-round loops
-    /// through this.
+    /// [`run_protocols`](Self::run_protocols) drives its per-round loop
+    /// through this, and it is the per-round oracle the frame driver
+    /// [`run_frames_batched`](Self::run_frames_batched) is tested against.
     ///
     /// # Errors
     ///
@@ -1064,7 +1118,7 @@ impl BeepNetwork {
             });
         }
         // Fault overlay, step 2: crashed nodes are deaf — their received
-        // bit is cleared *after* the channel, so feedback (and run_frame
+        // bit is cleared *after* the channel, so feedback (and frame
         // outputs) see silence. Adaptive deafening clears at the same
         // point.
         self.faults.silence_crashed(round, received);
@@ -1084,141 +1138,15 @@ impl BeepNetwork {
         Ok(())
     }
 
-    /// Runs a whole batch of rounds from per-node transmit frames:
-    /// `frames[v]` is node `v`'s schedule (bit `i` set ⇒ beep in round
-    /// `i`), `None` means listen throughout. Returns what each node heard,
-    /// as one [`BitVec`] per node covering all rounds.
-    ///
-    /// The round count is inferred from the first transmitted frame (0 if
-    /// every node listens); every transmitted frame must have that length.
-    /// Use [`run_frame_of_len`](Self::run_frame_of_len) when silent batches
-    /// must still consume rounds.
-    ///
-    /// This is the frame-level API the phase simulators run on: each round
-    /// touches only the transmitting nodes to assemble the beeper bitmap,
-    /// then goes through the sharded bitset kernel.
-    ///
-    /// ```
-    /// use beep_bits::BitVec;
-    /// use beep_net::{topology, BeepNetwork, Noise};
-    ///
-    /// let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
-    /// // Node 0 transmits 101 over three rounds; 1 and 2 listen.
-    /// let frames = vec![Some(BitVec::from_str_01("101").unwrap()), None, None];
-    /// let heard = net.run_frame(&frames).unwrap();
-    /// assert_eq!(heard[1].to_string(), "101"); // neighbor hears the frame
-    /// assert_eq!(heard[2].to_string(), "000"); // out of range
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if two transmitted frames disagree on
-    ///   length.
-    pub fn run_frame(&mut self, frames: &[Option<BitVec>]) -> Result<Vec<BitVec>, NetError> {
-        let rounds = frames.iter().flatten().map(BitVec::len).next().unwrap_or(0);
-        self.run_frame_of_len(frames, rounds)
-    }
-
-    /// [`run_frame`](Self::run_frame) with an explicit round count: runs
-    /// exactly `rounds` rounds even when every node listens (an all-silent
-    /// phase still occupies its slot in the paper's round accounting).
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if a transmitted frame's length is not
-    ///   `rounds`.
-    pub fn run_frame_of_len(
-        &mut self,
-        frames: &[Option<BitVec>],
-        rounds: usize,
-    ) -> Result<Vec<BitVec>, NetError> {
-        let mut heard = Vec::new();
-        self.run_frame_into(frames, rounds, &mut heard)?;
-        Ok(heard)
-    }
-
-    /// [`run_frame_of_len`](Self::run_frame_of_len) writing into a caller
-    /// buffer: `heard` is resized to one `rounds`-bit string per node and
-    /// entirely overwritten, reusing its allocations when the shapes
-    /// already match. A phase loop that runs many frames back to back
-    /// (e.g. the Algorithm 1 simulator) allocates its output once instead
-    /// of `O(n)` strings per phase; the per-round `received` scratch is
-    /// reused internally either way.
-    ///
-    /// # Errors
-    ///
-    /// * [`NetError::ActionCount`] if `frames.len()` differs from the node
-    ///   count.
-    /// * [`NetError::FrameLength`] if a transmitted frame's length is not
-    ///   `rounds`.
-    pub fn run_frame_into(
-        &mut self,
-        frames: &[Option<BitVec>],
-        rounds: usize,
-        heard: &mut Vec<BitVec>,
-    ) -> Result<(), NetError> {
-        let n = self.graph.node_count();
-        if frames.len() != n {
-            return Err(NetError::ActionCount {
-                expected: n,
-                actual: frames.len(),
-            });
-        }
-        let mut transmitters: Vec<(usize, &BitVec)> = Vec::new();
-        for (v, frame) in frames.iter().enumerate() {
-            if let Some(f) = frame {
-                if f.len() != rounds {
-                    return Err(NetError::FrameLength {
-                        node: v,
-                        expected: rounds,
-                        actual: f.len(),
-                    });
-                }
-                transmitters.push((v, f));
-            }
-        }
-        heard.truncate(n);
-        for h in heard.iter_mut() {
-            if h.len() == rounds {
-                h.clear();
-            } else {
-                *h = BitVec::zeros(rounds);
-            }
-        }
-        heard.resize_with(n, || BitVec::zeros(rounds));
-        let mut beepers = BitVec::zeros(n);
-        let mut received = BitVec::zeros(n);
-        for i in 0..rounds {
-            beepers.clear();
-            for &(v, f) in &transmitters {
-                if f.get(i) {
-                    beepers.set(v, true);
-                }
-            }
-            self.run_round_bitset_into(&beepers, &mut received)?;
-            for v in received.iter_ones() {
-                heard[v].set(i, true);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fault-overlay step 1 for one round, applied in place to an owned
-    /// effective-beeper bitmap: static fault overrides, then the adaptive
-    /// decision (from the same pre-fan-out [`AdversaryView`] every kernel
-    /// builds), then its spam/mute edits. Returns the round's decision and
-    /// whether any node effectively beeped *before* adaptive additions
-    /// (what `last_activity` tracks). The batched frame driver runs this
-    /// round-sequentially so its transcripts match the per-round kernels
-    /// bit for bit.
+    /// Fault-overlay step 1 for one round of the fault path, applied in
+    /// place to an owned effective-beeper bitmap: static fault overrides,
+    /// then the adaptive decision (from the same pre-fan-out
+    /// [`AdversaryView`] every kernel builds), then its spam/mute edits.
+    /// Returns the round's decision and whether any node effectively
+    /// beeped *before* adaptive additions (what `last_activity` tracks).
+    /// The blocked frame driver runs this round-sequentially so its
+    /// transcripts match the per-round kernels bit for bit.
     fn overlay_step1(&self, effective: &mut BitVec, round: u64) -> (RoundFaults, bool) {
-        if self.faults.is_empty() {
-            return (RoundFaults::none(), effective.count_ones() > 0);
-        }
         self.faults.apply_to_beepers(round, effective);
         let pre_adaptive_active = effective.count_ones() > 0;
         let decision = self.faults.decide(&AdversaryView {
@@ -1232,20 +1160,45 @@ impl BeepNetwork {
         (decision, pre_adaptive_active)
     }
 
-    /// [`run_frame_of_len`](Self::run_frame_of_len) through the
-    /// cache-blocked batched kernel: the whole transmit schedule is driven
-    /// in blocks of [`FRAME_BLOCK_ROUNDS`] rounds, and within a block each
-    /// shard computes *all* its rounds back to back. A shard's output
-    /// words and the block's beeper bitmaps stay hot in L2 across the
-    /// block, and — decisively for large sparse graphs — each shard
-    /// touches the adjacency once per block instead of once per round.
+    /// Runs a whole batch of rounds from per-node transmit frames — the
+    /// frame API the phase simulators run on. `frames[v]` is node `v`'s
+    /// schedule (bit `i` set ⇒ beep in round `i`), `None` means listen
+    /// throughout; every transmitted frame must be `rounds` bits long, and
+    /// exactly `rounds` rounds run even when every node listens (an
+    /// all-silent phase still occupies its slot in the paper's round
+    /// accounting). Returns what each node heard, one `rounds`-bit
+    /// [`BitVec`] per node.
     ///
-    /// Byte-identical to [`run_frame`](Self::run_frame): rounds are
-    /// prepared (fault overlay, adaptive decisions, stats, transcript)
-    /// sequentially in submission order before the block fans out, noise
-    /// stays keyed by `(seed, round, shard)`, and the block size is *not*
-    /// part of the determinism tuple. Pinned by the batched oracle tests
-    /// and golden FNV fingerprints.
+    /// Byte-identical to driving the schedule one
+    /// [`run_round_bitset_into`](Self::run_round_bitset_into) call per
+    /// round — heard bits, stats, per-node energy, transcript and the
+    /// channel's `(seed, round, shard)` noise cells — on either of two
+    /// paths:
+    ///
+    /// * **Node-major** (no [`FaultPlan`] installed): `heard[v]` is the OR
+    ///   of `v`'s own frame and its neighbours' frames, 64 rounds per word
+    ///   operation; stats and energy come from per-frame popcounts; the
+    ///   channel is then replayed cell by cell on 64×64-transposed
+    ///   round-major words, in round order, with the per-round kernel's
+    ///   shard layout and `protect` set.
+    /// * **Round-major, cache-blocked** (a plan installed): adaptive
+    ///   policies decide round by round from cumulative state, so rounds
+    ///   are prepared sequentially in blocks of 32 rounds and each shard
+    ///   then computes all of a block's rounds back to back.
+    ///
+    /// Pinned by the frame oracle tests and golden FNV fingerprints.
+    ///
+    /// ```
+    /// use beep_bits::BitVec;
+    /// use beep_net::{topology, BeepNetwork, Noise};
+    ///
+    /// let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
+    /// // Node 0 transmits 101 over three rounds; 1 and 2 listen.
+    /// let frames = vec![Some(BitVec::from_str_01("101").unwrap()), None, None];
+    /// let heard = net.run_frames_batched(&frames, 3).unwrap();
+    /// assert_eq!(heard[1].to_string(), "101"); // neighbor hears the frame
+    /// assert_eq!(heard[2].to_string(), "000"); // out of range
+    /// ```
     ///
     /// # Errors
     ///
@@ -1264,8 +1217,10 @@ impl BeepNetwork {
     }
 
     /// [`run_frames_batched`](Self::run_frames_batched) writing into a
-    /// caller buffer, with the same reuse contract as
-    /// [`run_frame_into`](Self::run_frame_into).
+    /// caller buffer: `heard` is resized to one `rounds`-bit string per
+    /// node and entirely overwritten, reusing its allocations when the
+    /// shapes already match. A phase loop that runs many frames back to
+    /// back (e.g. the Algorithm 1 simulator) allocates its output once.
     ///
     /// # Errors
     ///
@@ -1308,6 +1263,141 @@ impl BeepNetwork {
             }
         }
         heard.resize_with(n, || BitVec::zeros(rounds));
+        if self.faults.is_empty() {
+            self.run_frames_node_major(frames, &transmitters, rounds, heard);
+        } else {
+            self.run_frames_blocked(&transmitters, rounds, heard);
+        }
+        Ok(())
+    }
+
+    /// The fault-free frame driver. `heard` arrives zeroed and shaped
+    /// `n × rounds`; see [`run_frames_batched`](Self::run_frames_batched)
+    /// for why each step reproduces the per-round kernel exactly.
+    fn run_frames_node_major(
+        &mut self,
+        frames: &[Option<BitVec>],
+        transmitters: &[(usize, &BitVec)],
+        rounds: usize,
+        heard: &mut [BitVec],
+    ) {
+        let n = self.graph.node_count();
+        let first_round = self.stats.rounds as u64;
+        // Step 1, the OR: each transmitter's frame lands on itself
+        // (self-hearing) and on every neighbour, 64 rounds per word. On
+        // K_n everyone hears the global OR.
+        if matches!(self.graph.repr(), AdjacencyRepr::Complete { .. }) {
+            if let Some((&(_, first), rest)) = transmitters.split_first() {
+                let mut all = first.clone();
+                for &(_, f) in rest {
+                    or_words_wide(all.as_words_mut(), f.as_words());
+                }
+                for h in heard.iter_mut() {
+                    h.as_words_mut().copy_from_slice(all.as_words());
+                }
+            }
+        } else {
+            for &(u, f) in transmitters {
+                let src = f.as_words();
+                or_words_wide(heard[u].as_words_mut(), src);
+                self.graph
+                    .for_each_neighbor(u, |v| or_words_wide(heard[v].as_words_mut(), src));
+            }
+        }
+        // Step 2, the counters: per-frame popcounts and the last beep.
+        let mut beeps = 0u64;
+        let mut last_beep: Option<usize> = None;
+        for &(u, f) in transmitters {
+            let count = f.count_ones() as u64;
+            beeps += count;
+            self.beeps_per_node[u] += count;
+            last_beep = last_beep.max(last_one(f));
+        }
+        if let Some(i) = last_beep {
+            self.last_activity = Some(first_round + i as u64);
+        }
+        self.stats.rounds += rounds;
+        self.stats.beeps += beeps;
+        self.stats.listens += (n * rounds) as u64 - beeps;
+        // Step 3, transcript and noise, one 64-round block at a time on
+        // round-major words: tile `g` of a buffer holds word `g` (nodes
+        // 64g..64g+64) of the block's rounds, one word per round.
+        let noisy = !self.channel.is_noiseless();
+        let protect = noisy && !self.self_hearing_noisy;
+        if !noisy && self.transcript.is_none() {
+            return;
+        }
+        let groups = n.div_ceil(64);
+        let need_beepers = protect || self.transcript.is_some();
+        let mut beepers_rm = vec![0u64; if need_beepers { groups * 64 } else { 0 }];
+        let mut heard_rm = vec![0u64; if noisy { groups * 64 } else { 0 }];
+        let mut cell = BitVec::zeros(n);
+        let mut protected = BitVec::zeros(n);
+        for block in 0..rounds.div_ceil(64) {
+            let len = (rounds - block * 64).min(64);
+            if need_beepers {
+                for (g, tile) in beepers_rm.chunks_exact_mut(64).enumerate() {
+                    gather_tile(tile, g, block, |v| frames.get(v).and_then(Option::as_ref));
+                }
+            }
+            if let Some(t) = &mut self.transcript {
+                for i in 0..len {
+                    let mut round = BitVec::zeros(n);
+                    round_words(round.as_words_mut(), &beepers_rm, i);
+                    t.push(round);
+                }
+            }
+            if !noisy {
+                continue;
+            }
+            for (g, tile) in heard_rm.chunks_exact_mut(64).enumerate() {
+                gather_tile(tile, g, block, |v| heard.get(v));
+            }
+            for i in 0..len {
+                round_words(cell.as_words_mut(), &heard_rm, i);
+                if protect {
+                    round_words(protected.as_words_mut(), &beepers_rm, i);
+                }
+                apply_channel_sharded(
+                    &self.channel,
+                    &self.graph,
+                    self.seed,
+                    first_round + (block * 64 + i) as u64,
+                    self.shard_count,
+                    protect.then_some(&protected),
+                    &mut cell,
+                );
+                for (tile, &w) in heard_rm.chunks_exact_mut(64).zip(cell.as_words()) {
+                    tile[i] = w;
+                }
+            }
+            // Rows past `len` still hold the zero padding gathered from
+            // the frames' last word, so whole words go back unchanged.
+            for (g, tile) in heard_rm.chunks_exact_mut(64).enumerate() {
+                transpose64(tile);
+                for (j, &w) in tile.iter().enumerate().take(n - g * 64) {
+                    heard[g * 64 + j].as_words_mut()[block] = w;
+                }
+            }
+        }
+    }
+
+    /// The fault-path frame driver: the whole transmit schedule is driven
+    /// in blocks of [`FRAME_BLOCK_ROUNDS`] rounds, and within a block each
+    /// shard computes *all* its rounds back to back. A shard's output
+    /// words and the block's beeper bitmaps stay hot in L2 across the
+    /// block, and each shard touches the adjacency once per block instead
+    /// of once per round. Rounds are prepared (fault overlay, adaptive
+    /// decisions, stats, transcript) sequentially in submission order
+    /// before the block fans out, and noise stays keyed by `(seed, round,
+    /// shard)`. `heard` arrives zeroed and shaped `n × rounds`.
+    fn run_frames_blocked(
+        &mut self,
+        transmitters: &[(usize, &BitVec)],
+        rounds: usize,
+        heard: &mut [BitVec],
+    ) {
+        let n = self.graph.node_count();
         if matches!(self.kernel, AdjKernel::DensePending) {
             self.kernel = AdjKernel::dense(&self.graph);
         }
@@ -1335,7 +1425,7 @@ impl BeepNetwork {
             let mut round_meta: Vec<(u64, u64, usize)> = Vec::with_capacity(block);
             for i in 0..block {
                 let mut eff = BitVec::zeros(n);
-                for &(v, f) in &transmitters {
+                for &(v, f) in transmitters {
                     if f.get(base + i) {
                         eff.set(v, true);
                     }
@@ -1467,7 +1557,6 @@ impl BeepNetwork {
             }
             base += block;
         }
-        Ok(())
     }
 
     /// Drives one [`BeepProtocol`] instance per node until all report done
@@ -1757,7 +1846,7 @@ mod tests {
     }
 
     #[test]
-    fn run_frame_transmits_frames_bit_by_bit() {
+    fn frames_transmit_bit_by_bit() {
         // Node 0 sends 101, node 2 sends 011 on a path 0-1-2; check what
         // node 1 (hearing both) and the endpoints reconstruct.
         let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
@@ -1766,7 +1855,7 @@ mod tests {
             None,
             Some(BitVec::from_indices(3, [1, 2])),
         ];
-        let heard = net.run_frame(&frames).unwrap();
+        let heard = net.run_frames_batched(&frames, 3).unwrap();
         assert_eq!(heard[0].to_string(), "101"); // own beeps
         assert_eq!(heard[1].to_string(), "111"); // OR of both neighbors
         assert_eq!(heard[2].to_string(), "011"); // own beeps
@@ -1775,19 +1864,19 @@ mod tests {
     }
 
     #[test]
-    fn run_frame_infers_zero_rounds_when_all_silent() {
+    fn all_silent_frames_still_burn_rounds() {
         let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
-        let heard = net.run_frame(&[None, None, None]).unwrap();
+        let heard = net.run_frames_batched(&[None, None, None], 0).unwrap();
         assert!(heard.iter().all(BitVec::is_empty));
         assert_eq!(net.stats().rounds, 0);
-        // The explicit-length variant still burns the rounds.
-        let heard = net.run_frame_of_len(&[None, None, None], 4).unwrap();
+        let heard = net.run_frames_batched(&[None, None, None], 4).unwrap();
         assert!(heard.iter().all(|h| h.len() == 4 && h.count_ones() == 0));
         assert_eq!(net.stats().rounds, 4);
+        assert_eq!(net.stats().listens, 12);
     }
 
     #[test]
-    fn run_frame_rejects_mismatched_frames() {
+    fn frames_reject_mismatched_lengths_and_counts() {
         let mut net = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
         let frames = vec![
             Some(BitVec::zeros(3)),
@@ -1795,7 +1884,7 @@ mod tests {
             Some(BitVec::zeros(2)), // wrong length
         ];
         assert_eq!(
-            net.run_frame(&frames),
+            net.run_frames_batched(&frames, 3),
             Err(NetError::FrameLength {
                 node: 2,
                 expected: 3,
@@ -1803,12 +1892,38 @@ mod tests {
             })
         );
         assert_eq!(
-            net.run_frame(&[None, None]),
+            net.run_frames_batched(&[None, None], 3),
             Err(NetError::ActionCount {
                 expected: 3,
                 actual: 2
             })
         );
+    }
+
+    #[test]
+    fn transpose64_swaps_rows_and_columns() {
+        let mut rng = StdRng::seed_from_u64(0x7A);
+        let original: Vec<u64> = (0..64).map(|_| rand::Rng::next_u64(&mut rng)).collect();
+        let mut tile = original.clone();
+        transpose64(&mut tile);
+        for (i, &row) in tile.iter().enumerate() {
+            for (j, &col) in original.iter().enumerate() {
+                assert_eq!(row >> j & 1, col >> i & 1, "bit ({i}, {j})");
+            }
+        }
+        transpose64(&mut tile);
+        assert_eq!(tile, original, "a transpose is its own inverse");
+    }
+
+    #[test]
+    fn last_one_finds_the_highest_set_bit() {
+        assert_eq!(last_one(&BitVec::zeros(130)), None);
+        assert_eq!(last_one(&BitVec::from_indices(130, [0])), Some(0));
+        assert_eq!(
+            last_one(&BitVec::from_indices(130, [3, 64, 129])),
+            Some(129)
+        );
+        assert_eq!(last_one(&BitVec::from_indices(130, [5, 63])), Some(63));
     }
 
     #[test]
@@ -1886,7 +2001,7 @@ mod tests {
     }
 
     #[test]
-    fn run_frame_into_matches_run_frame_and_reuses_buffers() {
+    fn frames_into_reuses_and_overwrites_buffers() {
         let g = topology::path(3).unwrap();
         let frames = vec![
             Some(BitVec::from_indices(3, [0, 2])),
@@ -1894,14 +2009,18 @@ mod tests {
             Some(BitVec::from_indices(3, [1, 2])),
         ];
         let mut fresh = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-        let expected = fresh.run_frame(&frames).unwrap();
+        let expected = fresh.run_frames_batched(&frames, 3).unwrap();
         let mut reused = BeepNetwork::new(g, Noise::Noiseless, 0);
         // Pre-populate with wrong shapes and stale bits.
         let mut heard = vec![BitVec::ones(3), BitVec::ones(7)];
-        reused.run_frame_into(&frames, 3, &mut heard).unwrap();
+        reused
+            .run_frames_batched_into(&frames, 3, &mut heard)
+            .unwrap();
         assert_eq!(heard, expected);
         // Second run with now-matching shapes must also fully overwrite.
-        reused.run_frame_into(&frames, 3, &mut heard).unwrap();
+        reused
+            .run_frames_batched_into(&frames, 3, &mut heard)
+            .unwrap();
         assert_eq!(heard, expected);
     }
 

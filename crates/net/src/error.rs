@@ -52,7 +52,7 @@ pub enum NetError {
         /// Provided number of actions.
         actual: usize,
     },
-    /// A frame in a [`crate::BeepNetwork::run_frame`] batch had the wrong
+    /// A frame in a [`crate::BeepNetwork::run_frames_batched`] batch had the wrong
     /// length (all transmitted frames must cover the same bit-rounds).
     FrameLength {
         /// The node whose frame was malformed.

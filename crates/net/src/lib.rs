@@ -36,8 +36,8 @@
 //! Rounds run on one of three equivalent kernels: the scalar reference
 //! [`BeepNetwork::run_round`] (kept as a differential-testing oracle), the
 //! bit-parallel [`BeepNetwork::run_round_bitset`] /
-//! [`BeepNetwork::run_frame`] that the simulators and protocols in the
-//! workspace use, and — inside the bitset kernel — a sharded
+//! [`BeepNetwork::run_frames_batched`] that the simulators and protocols in
+//! the workspace use, and — inside the bitset kernel — a sharded
 //! multi-threaded execution path ([`BeepNetwork::set_parallelism`]) whose
 //! noisy transcripts are bit-identical at every thread count because
 //! channel noise is keyed by `(seed, round, shard)`

@@ -1,5 +1,5 @@
 //! Differential oracle: the bit-parallel kernel (`run_round_bitset`,
-//! `run_frame`) against the scalar reference `run_round`, bit-exact under
+//! `run_frames_batched`) against the scalar reference `run_round`, bit-exact under
 //! `Noise::Noiseless`, across **every** `topology::*` generator, both
 //! adjacency kernels, and the sharded multi-threaded execution path at
 //! thread counts {1, 2, 4, 8} — plus the statistical contract of the
@@ -98,6 +98,29 @@ fn beeper_bitmap(actions: &[Action]) -> BitVec {
     BitVec::from_fn(actions.len(), |v| actions[v] == Action::Beep)
 }
 
+/// The round-by-round reference frame driver: one `run_round_bitset_into`
+/// call per round, each node's heard bit scattered into its string.
+fn drive_round_by_round(
+    net: &mut BeepNetwork,
+    frames: &[Option<BitVec>],
+    rounds: usize,
+) -> Vec<BitVec> {
+    let n = frames.len();
+    let mut heard = vec![BitVec::zeros(rounds); n];
+    let mut beepers = BitVec::zeros(n);
+    let mut received = BitVec::zeros(n);
+    for i in 0..rounds {
+        for (v, frame) in frames.iter().enumerate() {
+            beepers.set(v, frame.as_ref().is_some_and(|f| f.get(i)));
+        }
+        net.run_round_bitset_into(&beepers, &mut received).unwrap();
+        for v in received.iter_ones() {
+            heard[v].set(i, true);
+        }
+    }
+    heard
+}
+
 #[test]
 fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
     let mut rng = StdRng::seed_from_u64(7);
@@ -146,7 +169,7 @@ fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
 }
 
 #[test]
-fn run_frame_matches_round_by_round_scalar_driving() {
+fn frames_match_round_by_round_scalar_driving() {
     let mut rng = StdRng::seed_from_u64(21);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -172,7 +195,7 @@ fn run_frame_matches_round_by_round_scalar_driving() {
                 }
             }
         }
-        let heard = batched.run_frame(&frames).unwrap();
+        let heard = batched.run_frames_batched(&frames, len).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
@@ -255,7 +278,7 @@ fn noisy_transcripts_are_thread_count_invariant_on_every_topology() {
 }
 
 #[test]
-fn run_frame_into_is_thread_count_invariant_under_noise() {
+fn frames_into_is_thread_count_invariant_under_noise() {
     // The frame-level API inherits the per-round contract.
     let mut rng = StdRng::seed_from_u64(163);
     for (name, graph) in all_topologies() {
@@ -268,7 +291,8 @@ fn run_frame_into_is_thread_count_invariant_under_noise() {
             let mut net = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.1), 5);
             net.set_parallelism(threads);
             let mut heard = Vec::new();
-            net.run_frame_into(&frames, len, &mut heard).unwrap();
+            net.run_frames_batched_into(&frames, len, &mut heard)
+                .unwrap();
             heard
         };
         let reference = run(THREAD_COUNTS[0]);
@@ -661,7 +685,7 @@ fn adaptive_scalar_bitset_threaded_agree_bit_for_bit() {
 
 #[test]
 fn adaptive_frames_match_round_by_round_driving() {
-    // run_frame under an adaptive plan ≡ driving the same frame one
+    // run_frames_batched under an adaptive plan ≡ driving the same frame one
     // run_round at a time: the per-round decision must be recomputed per
     // slot inside the batched kernel (the adversary watches slots, not
     // frames).
@@ -700,7 +724,7 @@ fn adaptive_frames_match_round_by_round_driving() {
                 }
             }
         }
-        let heard = batched.run_frame(&frames).unwrap();
+        let heard = batched.run_frames_batched(&frames, len).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
@@ -810,7 +834,7 @@ fn faulted_scalar_bitset_threaded_agree_bit_for_bit() {
 
 #[test]
 fn faulted_frames_match_round_by_round_driving() {
-    // run_frame under a fault plan ≡ driving the same frame one
+    // run_frames_batched under a fault plan ≡ driving the same frame one
     // run_round at a time: the overlay must apply per-slot inside the
     // batched kernel too (a crash round can split a frame). Counter-keyed
     // channel for the same reason as the bit-exact oracle above.
@@ -844,7 +868,7 @@ fn faulted_frames_match_round_by_round_driving() {
                 }
             }
         }
-        let heard = batched.run_frame(&frames).unwrap();
+        let heard = batched.run_frames_batched(&frames, len).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
@@ -955,8 +979,8 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
 }
 
 #[test]
-fn batched_frames_match_run_frame_on_every_topology() {
-    // run_frames_batched ≡ run_frame, bit for bit, noisy, across every
+fn batched_frames_match_round_by_round_driving_on_every_topology() {
+    // run_frames_batched ≡ round-by-round driving, bit for bit, noisy, across every
     // topology (incl. implicit/compressed reprs), threads {1, 2, 4, 8} ×
     // shards {1, 2, 8}. The schedule is longer than one cache block so the
     // equivalence crosses a block boundary.
@@ -977,10 +1001,7 @@ fn batched_frames_match_run_frame_on_every_topology() {
                 batched.set_shard_count(shards);
                 batched.set_parallelism(threads);
                 batched.record_transcript();
-                let mut expected = Vec::new();
-                reference
-                    .run_frame_into(&frames, len, &mut expected)
-                    .unwrap();
+                let expected = drive_round_by_round(&mut reference, &frames, len);
                 let heard = batched.run_frames_batched(&frames, len).unwrap();
                 assert_eq!(heard, expected, "{name} threads={threads} shards={shards}");
                 assert_eq!(reference.stats(), batched.stats(), "{name} stats");
@@ -1000,7 +1021,7 @@ fn batched_frames_match_run_frame_on_every_topology() {
 }
 
 #[test]
-fn batched_frames_match_run_frame_under_faults_and_adaptive_adversaries() {
+fn batched_frames_match_round_by_round_driving_under_faults_and_adaptive_adversaries() {
     // The batched driver's sequential pre-pass must reproduce the fault
     // overlay exactly: static crashes mid-schedule, adaptive decisions
     // fed by the rounds the same block already prepared, crash deafness
@@ -1023,7 +1044,7 @@ fn batched_frames_match_run_frame_under_faults_and_adaptive_adversaries() {
         let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 43);
         batched.set_fault_plan(plan).unwrap();
         batched.set_parallelism(4);
-        let expected = reference.run_frame_of_len(&frames, len).unwrap();
+        let expected = drive_round_by_round(&mut reference, &frames, len);
         let heard = batched.run_frames_batched(&frames, len).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(reference.stats(), batched.stats(), "{name} stats");
@@ -1036,10 +1057,10 @@ fn batched_frames_match_run_frame_under_faults_and_adaptive_adversaries() {
 }
 
 #[test]
-fn batched_single_round_schedule_is_byte_identical_to_run_frame() {
-    // Satellite regression: a 1-round schedule through run_frames_batched
-    // is byte-identical to run_frame — the degenerate block still goes
-    // through pre-pass/slab/post-pass and must change nothing.
+fn batched_single_round_schedule_is_byte_identical_to_round_by_round_driving() {
+    // Regression: a 1-round schedule through run_frames_batched is
+    // byte-identical to round-by-round driving — the degenerate block
+    // must change nothing.
     let mut rng = StdRng::seed_from_u64(0x0B01);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
@@ -1048,7 +1069,7 @@ fn batched_single_round_schedule_is_byte_identical_to_run_frame() {
             .collect();
         let mut reference = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.3), 47);
         let mut batched = BeepNetwork::new(graph.clone(), Noise::bernoulli(0.3), 47);
-        let expected = reference.run_frame(&frames).unwrap();
+        let expected = drive_round_by_round(&mut reference, &frames, 1);
         let heard = batched.run_frames_batched(&frames, 1).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(reference.stats(), batched.stats(), "{name} stats");
@@ -1067,4 +1088,137 @@ fn noisy_bitset_runs_are_deterministic_in_the_seed() {
     };
     assert_eq!(run(5), run(5));
     assert_ne!(run(5), run(6), "different seeds should differ somewhere");
+}
+
+#[test]
+fn node_major_frames_match_round_by_round_driving() {
+    // The fault-free frame driver ORs whole frames node by node and then
+    // replays the channel cell by cell on transposed words; it must equal
+    // one run_round_bitset_into call per round in heard bits, stats,
+    // energy and transcript. Swept: every topology plus multi-word graphs
+    // (so shards {2, 8} really split a round and n is not a multiple of
+    // 64), all four channel models, both self-hearing modes, shards
+    // {1, 2, 8} × threads {1, 2, 4}, and schedules of 0, 1, 63, 64, 65 and
+    // 200 rounds plus an all-silent one, run back to back on the same
+    // network so the noise cells of later calls are keyed by cumulative
+    // rounds.
+    let mut rng = StdRng::seed_from_u64(0x40DE);
+    let mut graphs = all_topologies();
+    graphs.push(("cycle(130)".into(), topology::cycle(130).unwrap()));
+    graphs.push((
+        "gnp(200,0.03)".into(),
+        topology::gnp(200, 0.03, &mut rng).unwrap(),
+    ));
+    graphs.push((
+        "implicit_torus(10,13)".into(),
+        topology::implicit_torus(10, 13).unwrap(),
+    ));
+    let schedule_lengths = [0, 1, 63, 64, 65, 200];
+    for (name, graph) in graphs {
+        let n = graph.node_count();
+        let mut schedules: Vec<(Vec<Option<BitVec>>, usize)> = schedule_lengths
+            .iter()
+            .map(|&len| {
+                let frames = (0..n)
+                    .map(|v| {
+                        let density = [0.02, 0.2, 0.6][v % 3];
+                        (v % 4 != 3).then(|| BitVec::from_fn(len, |_| rng.random_bool(density)))
+                    })
+                    .collect();
+                (frames, len)
+            })
+            .collect();
+        schedules.push((vec![None; n], 70));
+        let mut channels = non_iid_channels(n);
+        channels.push(("iid", Noise::bernoulli(0.15).into()));
+        for (key, channel) in channels {
+            for self_hearing_noisy in [true, false] {
+                for shards in SHARD_COUNTS {
+                    for threads in [1, 2, 4] {
+                        let make = || {
+                            let mut net = BeepNetwork::new(graph.clone(), channel.clone(), 53);
+                            net.set_shard_count(shards);
+                            net.set_parallelism(threads);
+                            net.set_self_hearing_noisy(self_hearing_noisy);
+                            net.record_transcript();
+                            net
+                        };
+                        let (mut reference, mut node_major) = (make(), make());
+                        let mut heard = Vec::new();
+                        for (frames, len) in &schedules {
+                            let expected = drive_round_by_round(&mut reference, frames, *len);
+                            node_major
+                                .run_frames_batched_into(frames, *len, &mut heard)
+                                .unwrap();
+                            let at = format!(
+                                "{name} {key} self_noisy={self_hearing_noisy} \
+                                 shards={shards} threads={threads} len={len}"
+                            );
+                            assert_eq!(heard, expected, "{at}");
+                            assert_eq!(reference.stats(), node_major.stats(), "{at} stats");
+                            assert_eq!(
+                                reference.beeps_by_node(),
+                                node_major.beeps_by_node(),
+                                "{at} energy"
+                            );
+                        }
+                        assert_eq!(
+                            reference.transcript(),
+                            node_major.transcript(),
+                            "{name} {key} shards={shards} threads={threads} transcript"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn last_activity_carries_from_node_major_frames_into_adaptive_rounds() {
+    // An adaptive policy reads `last_activity`, which the fault-free
+    // driver must leave exactly where the per-round kernel would: the
+    // last round anyone beeped, not the last round of the frame. Phase 1
+    // beeps only in its first 30 of 40 rounds; phase 2 installs a
+    // RushingSpam plan whose window reaches back into phase 1, so a wrong
+    // `last_activity` changes who spams in phase 2.
+    let mut rng = StdRng::seed_from_u64(0x1A57);
+    let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
+        .unwrap()
+        .into();
+    for (name, graph) in all_topologies() {
+        let n = graph.node_count();
+        let early: Vec<Option<BitVec>> = (0..n)
+            .map(|v| (v % 2 == 0).then(|| BitVec::from_fn(40, |i| i < 30 && rng.random_bool(0.3))))
+            .collect();
+        let quiet_then_loud: Vec<Option<BitVec>> = (0..n)
+            .map(|v| (v % 3 == 0).then(|| BitVec::from_fn(24, |i| i >= 16 && rng.random_bool(0.5))))
+            .collect();
+        let plan = FaultPlan::from_policy(AdaptivePolicy::RushingSpam {
+            budget: n / 4 + 1,
+            window: 12,
+        });
+        let mut reference = BeepNetwork::new(graph.clone(), channel.clone(), 59);
+        let mut node_major = BeepNetwork::new(graph.clone(), channel.clone(), 59);
+        let expected = drive_round_by_round(&mut reference, &early, 40);
+        assert_eq!(
+            node_major.run_frames_batched(&early, 40).unwrap(),
+            expected,
+            "{name} phase 1"
+        );
+        reference.set_fault_plan(plan.clone()).unwrap();
+        node_major.set_fault_plan(plan).unwrap();
+        let expected = drive_round_by_round(&mut reference, &quiet_then_loud, 24);
+        assert_eq!(
+            node_major.run_frames_batched(&quiet_then_loud, 24).unwrap(),
+            expected,
+            "{name} phase 2"
+        );
+        assert_eq!(reference.stats(), node_major.stats(), "{name} stats");
+        assert_eq!(
+            reference.beeps_by_node(),
+            node_major.beeps_by_node(),
+            "{name} energy"
+        );
+    }
 }

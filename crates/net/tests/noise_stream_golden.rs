@@ -557,7 +557,7 @@ fn golden_implicit_torus_transcripts_per_seed_eps_shards() {
     );
 }
 
-/// Transposes per-node heard frames (the `run_frame*` output shape) into
+/// Transposes per-node heard frames (the `run_frames_batched` output shape) into
 /// the per-round bitmaps the golden fingerprints are computed over.
 fn per_round_bitmaps(heard: &[BitVec], rounds: usize) -> Vec<BitVec> {
     (0..rounds)
