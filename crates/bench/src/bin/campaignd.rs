@@ -34,15 +34,30 @@ use beep_scenarios::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Largest request body the daemon accepts (1 MiB — the checked-in specs
 /// are a few KiB). A larger `Content-Length` is answered with 413 before
 /// any buffer is allocated, so one request cannot exhaust the process.
 const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Largest request line plus headers the daemon reads (16 KiB). Longer
+/// ones are answered with 431 after reading at most this much, so an
+/// endless header line cannot grow a buffer without bound.
+const MAX_HEADER_BYTES: u64 = 16 << 10;
+
+/// Read and write timeout of every accepted connection: a client that
+/// stalls mid-request (or never reads its response) frees its thread
+/// after this long.
+const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most bytes of a refused request drained before the connection closes.
+/// Closing a socket with unread input makes the kernel send a reset,
+/// which can destroy the error response before the client reads it.
+const MAX_DRAIN_BYTES: u64 = 4 << 20;
 
 /// Where a submitted campaign is in its life cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,9 +257,11 @@ impl Response {
 }
 
 fn handle_connection(mut stream: TcpStream, daemon: &Arc<Daemon>) -> std::io::Result<()> {
-    let response = match read_request(&mut stream) {
-        Ok(request) => route(daemon, &request),
-        Err(response) => response,
+    stream.set_read_timeout(Some(STREAM_TIMEOUT))?;
+    stream.set_write_timeout(Some(STREAM_TIMEOUT))?;
+    let (response, refused) = match read_request(&mut stream) {
+        Ok(request) => (route(daemon, &request), false),
+        Err(response) => (response, true),
     };
     write!(
         stream,
@@ -254,19 +271,40 @@ fn handle_connection(mut stream: TcpStream, daemon: &Arc<Daemon>) -> std::io::Re
         response.body.len(),
         response.body
     )?;
-    stream.flush()
+    stream.flush()?;
+    if refused {
+        // A refused request may still be arriving: signal the end of the
+        // response, then discard a bounded amount of input so the close
+        // does not reset the connection under the client.
+        stream.shutdown(Shutdown::Write)?;
+        std::io::copy(&mut (&stream).take(MAX_DRAIN_BYTES), &mut std::io::sink())?;
+    }
+    Ok(())
 }
 
 /// Reads request line + headers + `Content-Length` body. Anything
-/// malformed is a 400 with the detail; a body over [`MAX_BODY_BYTES`] is a
+/// malformed is a 400 with the detail; request line and headers over
+/// [`MAX_HEADER_BYTES`] are a 431; a body over [`MAX_BODY_BYTES`] is a
 /// 413, decided from the header alone.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     let bad = |detail: String| Response::error(400, "Bad Request", &detail);
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| bad(format!("request line: {e}")))?;
+    let mut head = (&mut reader).take(MAX_HEADER_BYTES);
+    let mut read_line = |what: &str| {
+        let mut line = String::new();
+        head.read_line(&mut line)
+            .map_err(|e| bad(format!("{what}: {e}")))?;
+        // A line the cap cut off ends without its newline at the limit.
+        if !line.ends_with('\n') && head.limit() == 0 {
+            return Err(Response::error(
+                431,
+                "Request Header Fields Too Large",
+                &format!("request line and headers exceed the {MAX_HEADER_BYTES}-byte limit"),
+            ));
+        }
+        Ok(line)
+    };
+    let line = read_line("request line")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -278,10 +316,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
         .to_string();
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| bad(format!("headers: {e}")))?;
+        let header = read_line("headers")?;
         let header = header.trim_end();
         if header.is_empty() {
             break;

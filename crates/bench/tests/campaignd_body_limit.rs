@@ -1,7 +1,8 @@
 //! The `campaignd` binary end to end: a request whose `Content-Length`
 //! header claims an absurd body is refused with 413 before anything is
-//! allocated, and the same daemon process then still runs the checked-in
-//! smoke campaign to a schema-valid report.
+//! allocated, a 2 MiB header is refused with 431 after a bounded read,
+//! and the same daemon process then still runs the checked-in smoke
+//! campaign to a schema-valid report.
 
 use beep_scenarios::json::Json;
 use beep_scenarios::validate_report;
@@ -75,6 +76,14 @@ fn oversized_body_is_refused_and_the_daemon_keeps_serving() {
     );
     assert_eq!(status, 413, "{body}");
     assert!(body.contains("exceeds"), "{body}");
+
+    let pad = "a".repeat(2 << 20);
+    let (status, body) = exchange(
+        addr,
+        &format!("GET /campaigns/x HTTP/1.1\r\nHost: t\r\nX-Pad: {pad}\r\n\r\n"),
+    );
+    assert_eq!(status, 431, "{body}");
+    assert!(body.contains("exceed"), "{body}");
 
     let spec = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -169,7 +169,7 @@ impl TdmaSimulator {
                 })
             })
             .collect();
-        // Drive the network through the cache-blocked batched frame kernel
+        // Drive the network through the batched frame driver
         // (byte-identical to round-by-round; the explicit length keeps an
         // all-silent round occupying its slots).
         let heard = net.run_frames_batched(&frames, total)?;

@@ -182,10 +182,10 @@ impl BroadcastSimulator {
     /// Transmits one frame per node (None = listen throughout), writing
     /// what every node heard, bit by bit, into `heard`.
     ///
-    /// Runs on the engine's cache-blocked batched frame kernel via the
-    /// reuse-buffer variant (byte-identical to the round-by-round driver,
-    /// but the adjacency is touched once per block instead of once per
-    /// round); the explicit length keeps an all-silent phase occupying its
+    /// Runs on the engine's batched frame driver via the reuse-buffer
+    /// variant (byte-identical to the round-by-round driver, but the
+    /// adjacency is touched once per frame instead of once per round); the
+    /// explicit length keeps an all-silent phase occupying its
     /// `phase_len()` rounds in the paper's accounting.
     fn run_phase(
         &self,

@@ -11,11 +11,6 @@ use beep_bits::BitVec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Word budget for the precomputed dense adjacency bitmasks: `n` rows of
-/// `⌈n/64⌉` words each are only materialized when they fit in this many
-/// `u64`s (16 MiB). Beyond it the sparse CSR kernel is used.
-const DENSE_WORD_BUDGET: usize = 1 << 21;
-
 /// Default shard count `S` of the sharded round kernel. Part of the
 /// determinism tuple `(graph, noise, seed, actions, shard_count)`, so it is
 /// a fixed constant — never derived from the machine. Override with
@@ -34,96 +29,9 @@ const PARALLEL_WORK_BUDGET: usize = 1 << 16;
 /// per beeper). Cost-only — both strategies write the same bits.
 const GATHER_DENSITY_FACTOR: usize = 16;
 
-/// Rounds per cache block of [`BeepNetwork::run_frames_batched`]'s fault
-/// path (the round-major driver that runs only while a [`FaultPlan`] is
-/// installed). Each block walks the adjacency once per shard for all its
-/// rounds, so a shard's working set (its output words × block rounds plus
-/// the beeper bitmaps) stays hot in L2 instead of being evicted between
-/// rounds. Purely a performance knob — the driver is byte-identical to
-/// round-by-round [`BeepNetwork::run_round_bitset_into`] at every block
-/// size, because noise stays keyed by `(seed, round, shard)` and the fault
-/// overlay runs round-sequentially in the pre-pass.
-const FRAME_BLOCK_ROUNDS: usize = 32;
-
-/// The implicit topologies the zero-storage OR kernel computes on the fly
-/// (mirrors the implicit variants of [`AdjacencyRepr`]).
-#[derive(Debug, Clone, Copy)]
-enum ImplicitShape {
-    /// Complete graph: anyone beeping means everyone receives a 1.
-    Complete,
-    /// Wrap-around `rows × cols` torus.
-    Torus { rows: usize, cols: usize },
-    /// Boundary `rows × cols` grid.
-    Grid { rows: usize, cols: usize },
-}
-
-/// How [`BeepNetwork::run_round_bitset`] computes the neighborhood OR.
-#[derive(Debug)]
-enum AdjKernel {
-    /// Iterate the set bits of the beeper bitmap and scatter each beeper's
-    /// adjacency list into the received bitmap: `O(Σ deg(beeper))`.
-    Sparse,
-    /// Dense rows selected but not yet materialized: a network that only
-    /// ever runs the scalar path (or is constructed per bench iteration)
-    /// must not pay the `O(n²/64)` build in `new`. The first bitset round
-    /// promotes this to [`AdjKernel::Dense`].
-    DensePending,
-    /// Per-node neighbor bitmasks, OR'd a whole row (word-parallel) per
-    /// beeper: `O(#beepers · n/64)` words. Wins on small or dense graphs.
-    Dense(Vec<BitVec>),
-    /// Zero-storage kernel for implicit topologies: the neighborhood OR of
-    /// a whole output word is a handful of masked shifts of the beeper
-    /// words (`O(n/64)` per round regardless of beeper density), so the
-    /// adjacency is never touched because it never exists.
-    Implicit(ImplicitShape),
-}
-
-impl AdjKernel {
-    /// Auto-selects the kernel. Implicit graphs get the zero-storage
-    /// shift kernel. Materialized graphs (CSR or delta-varint) get dense
-    /// rows when they fit the [`DENSE_WORD_BUDGET`] *and* the graph is
-    /// dense enough that a row OR (`⌈n/64⌉` words) beats scattering an
-    /// average adjacency list (`2m/n` bit-writes), i.e. roughly when
-    /// `128·m ≥ n²`. The rows themselves are built lazily on first use.
-    fn auto(graph: &Graph) -> Self {
-        match graph.repr() {
-            AdjacencyRepr::Complete { .. } => return AdjKernel::Implicit(ImplicitShape::Complete),
-            AdjacencyRepr::Torus { rows, cols } => {
-                return AdjKernel::Implicit(ImplicitShape::Torus { rows, cols })
-            }
-            AdjacencyRepr::Grid { rows, cols } => {
-                return AdjKernel::Implicit(ImplicitShape::Grid { rows, cols })
-            }
-            AdjacencyRepr::Csr | AdjacencyRepr::DeltaCsr => {}
-        }
-        let n = graph.node_count();
-        let words_per_row = n.div_ceil(64);
-        let fits = n.saturating_mul(words_per_row) <= DENSE_WORD_BUDGET;
-        let dense_enough = 128usize.saturating_mul(graph.edge_count()) >= n.saturating_mul(n);
-        if n > 0 && fits && dense_enough {
-            AdjKernel::DensePending
-        } else {
-            AdjKernel::Sparse
-        }
-    }
-
-    fn dense(graph: &Graph) -> Self {
-        let n = graph.node_count();
-        AdjKernel::Dense(
-            (0..n)
-                .map(|v| {
-                    let mut row = BitVec::zeros(n);
-                    graph.for_each_neighbor(v, |u| row.set(u, true));
-                    row
-                })
-                .collect(),
-        )
-    }
-}
-
 /// `dst |= src` over whole words, manually unrolled into u64×8 lanes so
-/// the dense row OR issues wide independent OR chains instead of relying
-/// on the autovectorizer's judgement in a generic zip loop.
+/// the node-major frame OR issues wide independent OR chains instead of
+/// relying on the autovectorizer's judgement in a generic zip loop.
 #[inline]
 fn or_words_wide(dst: &mut [u64], src: &[u64]) {
     let mut d = dst.chunks_exact_mut(8);
@@ -261,23 +169,16 @@ fn available_cores() -> usize {
 /// worker threads. Everything here is borrowed immutably, so shards can be
 /// computed in any order, on any thread, with identical results.
 struct ShardCtx<'a> {
+    /// The graph; its [`Graph::repr`] alone picks the OR kernel.
     graph: &'a Graph,
-    /// Dense adjacency rows when the dense kernel is active.
-    rows: Option<&'a [BitVec]>,
-    /// The implicit topology when the zero-storage shift kernel is active.
-    shape: Option<ImplicitShape>,
-    /// Whether the graph is materialized CSR, unlocking the borrowed-slice
-    /// fast paths (`Graph::neighbors`); other representations go through
-    /// the generic `for_each_neighbor*` accessors.
-    csr: bool,
     /// `beepers.count_ones()`, computed once per round (the complete-graph
     /// kernel and the gather/scatter strategy choice both need it).
     beep_count: usize,
     beepers: &'a BitVec,
-    /// The set bits of `beepers`, materialized once per round: the dense
-    /// and scatter kernels walk the beeper set once *per shard*, and
+    /// The set bits of `beepers`, materialized once per round: the
+    /// scatter kernel walks the beeper set once *per shard*, and
     /// re-scanning the whole bitmap S times would dominate sparse rounds.
-    /// Left empty in gather mode, which never iterates beepers.
+    /// Left empty when the round gathers or the graph is implicit.
     beeper_list: &'a [usize],
     /// Bits that must not be flipped by noise (the beeper set when
     /// self-hearing is configured noise-free).
@@ -290,8 +191,8 @@ struct ShardCtx<'a> {
     /// The channel's per-round state ([`NoiseModel::round_state`]),
     /// computed once before the shards fan out.
     round_state: u64,
-    /// Sparse-kernel strategy for this round: destination-side gather
-    /// (dense beeper sets) vs source-side scatter (sparse ones).
+    /// CSR strategy for this round: destination-side gather (dense
+    /// beeper sets) vs source-side scatter (sparse ones).
     gather: bool,
 }
 
@@ -313,141 +214,104 @@ impl ShardCtx<'_> {
         let w_lo = lo / 64;
         // Self-hearing (Section 1.5): start from the beeper bits.
         out.copy_from_slice(&self.beepers.as_words()[w_lo..w_lo + out.len()]);
-        if let Some(rows) = self.rows {
-            // Dense kernel: OR each beeper's adjacency-bitmask row,
-            // restricted to this shard's words, in u64×8 unrolled lanes.
-            for &u in self.beeper_list {
-                or_words_wide(out, &rows[u].as_words()[w_lo..w_lo + out.len()]);
-            }
-        } else if let Some(shape) = self.shape {
-            // Implicit kernel: the neighborhood OR of a whole word is a
-            // handful of masked shifts — no adjacency exists to touch.
-            self.implicit_or(shape, w_lo, out);
-        } else if self.gather {
-            // Dense beeper set: scan each shard node's neighborhood with
-            // early exit — at ≥ n/16 beepers a hit comes fast.
-            for v in lo..hi {
-                let mask = 1u64 << (v % 64);
-                if out[(v - lo) / 64] & mask != 0 {
-                    continue; // beeped itself: already receives a 1
-                }
-                let hit = if self.csr {
-                    self.graph.neighbors(v).iter().any(|&u| self.beepers.get(u))
-                } else {
-                    self.graph.any_neighbor(v, |u| self.beepers.get(u))
-                };
-                if hit {
-                    out[(v - lo) / 64] |= mask;
-                }
-            }
-        } else if self.csr {
-            // Sparse beeper set: scatter each beeper's CSR adjacency list,
-            // binary-searched down to this shard's node range. Consecutive
-            // neighbors usually share an output word (lists are sorted),
-            // so bits accumulate in a register and flush once per word
-            // instead of read-modify-writing memory per neighbor.
-            for &u in self.beeper_list {
-                let adj = self.graph.neighbors(u);
-                let start = adj.partition_point(|&w| w < lo);
-                let mut cur = usize::MAX;
-                let mut acc = 0u64;
-                for &w in &adj[start..] {
-                    if w >= hi {
-                        break;
+        match self.graph.repr() {
+            AdjacencyRepr::Csr if self.gather => {
+                // Dense beeper set: scan each shard node's neighborhood
+                // with early exit — at ≥ n/16 beepers a hit comes fast.
+                for v in lo..hi {
+                    let mask = 1u64 << (v % 64);
+                    if out[(v - lo) / 64] & mask != 0 {
+                        continue; // beeped itself: already receives a 1
                     }
-                    let wi = (w - lo) / 64;
-                    if wi != cur {
-                        if acc != 0 {
-                            out[cur] |= acc;
+                    if self.graph.neighbors(v).iter().any(|&u| self.beepers.get(u)) {
+                        out[(v - lo) / 64] |= mask;
+                    }
+                }
+            }
+            AdjacencyRepr::Csr => {
+                // Sparse beeper set: scatter each beeper's adjacency list,
+                // binary-searched down to this shard's node range.
+                // Consecutive neighbors usually share an output word
+                // (lists are sorted), so bits accumulate in a register and
+                // flush once per word instead of read-modify-writing
+                // memory per neighbor.
+                for &u in self.beeper_list {
+                    let adj = self.graph.neighbors(u);
+                    let start = adj.partition_point(|&w| w < lo);
+                    let mut cur = usize::MAX;
+                    let mut acc = 0u64;
+                    for &w in &adj[start..] {
+                        if w >= hi {
+                            break;
                         }
-                        cur = wi;
-                        acc = 0;
-                    }
-                    acc |= 1u64 << (w % 64);
-                }
-                if acc != 0 {
-                    out[cur] |= acc;
-                }
-            }
-        } else {
-            // Generic scatter for compressed adjacency: decode each
-            // beeper's list over this shard's range (ascending, early
-            // exit), with the same word-chunked accumulation.
-            for &u in self.beeper_list {
-                let mut cur = usize::MAX;
-                let mut acc = 0u64;
-                self.graph.for_each_neighbor_in_range(u, lo, hi, |w| {
-                    let wi = (w - lo) / 64;
-                    if wi != cur {
-                        if acc != 0 {
-                            out[cur] |= acc;
+                        let wi = (w - lo) / 64;
+                        if wi != cur {
+                            if acc != 0 {
+                                out[cur] |= acc;
+                            }
+                            cur = wi;
+                            acc = 0;
                         }
-                        cur = wi;
-                        acc = 0;
+                        acc |= 1u64 << (w % 64);
                     }
-                    acc |= 1u64 << (w % 64);
-                });
-                if acc != 0 {
-                    out[cur] |= acc;
+                    if acc != 0 {
+                        out[cur] |= acc;
+                    }
                 }
             }
-        }
-    }
-
-    /// The implicit-topology neighborhood OR for the words starting at
-    /// global word `w_lo`: each output word is assembled from masked
-    /// shifted windows of the beeper words. `out` already holds the
-    /// self-hearing beeper copy; this ORs the neighbor contributions on
-    /// top and re-zeros the padding bits of the final word.
-    fn implicit_or(&self, shape: ImplicitShape, w_lo: usize, out: &mut [u64]) {
-        let n = self.beepers.len();
-        let src = self.beepers.as_words();
-        match shape {
-            ImplicitShape::Complete => {
-                // Carrier sensing on K_n: any beeper at all is heard by
-                // every node (beeper or not).
+            // Carrier sensing on K_n: any beeper at all is heard by every
+            // node (beeper or not).
+            AdjacencyRepr::Complete { .. } => {
                 if self.beep_count > 0 {
                     out.fill(!0);
                 }
             }
-            ImplicitShape::Torus { rows, cols } | ImplicitShape::Grid { rows, cols } => {
-                let wrap = matches!(shape, ImplicitShape::Torus { .. });
-                debug_assert_eq!(rows * cols, n);
-                let c = cols as i64;
-                for (idx, o) in out.iter_mut().enumerate() {
-                    let w = w_lo + idx;
-                    let base = (w * 64) as i64;
-                    // Vertical neighbors are a plain ±cols shift; nodes in
-                    // the first/last row read past the bitmap and get 0.
-                    let mut acc = window(src, base - c) | window(src, base + c);
-                    // Horizontal neighbors are a ±1 shift masked at the
-                    // column boundaries so rows don't bleed into each
-                    // other.
-                    let start_mask = stride_mask(w, cols, 0);
-                    let end_mask = stride_mask(w, cols, cols - 1);
-                    acc |= window(src, base - 1) & !start_mask;
-                    acc |= window(src, base + 1) & !end_mask;
-                    if wrap {
-                        // Torus wrap terms: column 0 ↔ column cols−1 and
-                        // first row ↔ last row.
-                        acc |= window(src, base + c - 1) & start_mask;
-                        acc |= window(src, base - (c - 1)) & end_mask;
-                        let nc = (n - cols) as i64;
-                        acc |= window(src, base + nc) & range_mask(w, 0, cols);
-                        acc |= window(src, base - nc) & range_mask(w, n - cols, n);
-                    }
-                    *o |= acc;
-                }
-            }
+            AdjacencyRepr::Torus { rows, cols } => self.lattice_or(rows, cols, true, w_lo, out),
+            AdjacencyRepr::Grid { rows, cols } => self.lattice_or(rows, cols, false, w_lo, out),
         }
-        // The shifts above can set padding bits past `n` in the bitmap's
-        // final word; BitVec's word invariant (and the post-pass scatter)
-        // require them zero.
+        // The implicit kernels can set padding bits past `n` in the
+        // bitmap's final word; BitVec's word invariant requires them zero.
+        let n = self.beepers.len();
         if !n.is_multiple_of(64) {
             let last = n / 64;
             if (w_lo..w_lo + out.len()).contains(&last) {
                 out[last - w_lo] &= (1u64 << (n % 64)) - 1;
             }
+        }
+    }
+
+    /// The implicit grid/torus neighborhood OR for the words starting at
+    /// global word `w_lo`: each output word is assembled from masked
+    /// shifted windows of the beeper words — no adjacency exists to touch.
+    /// `out` already holds the self-hearing beeper copy; this ORs the
+    /// neighbor contributions on top.
+    fn lattice_or(&self, rows: usize, cols: usize, wrap: bool, w_lo: usize, out: &mut [u64]) {
+        let n = self.beepers.len();
+        let src = self.beepers.as_words();
+        debug_assert_eq!(rows * cols, n);
+        let c = cols as i64;
+        for (idx, o) in out.iter_mut().enumerate() {
+            let w = w_lo + idx;
+            let base = (w * 64) as i64;
+            // Vertical neighbors are a plain ±cols shift; nodes in the
+            // first/last row read past the bitmap and get 0.
+            let mut acc = window(src, base - c) | window(src, base + c);
+            // Horizontal neighbors are a ±1 shift masked at the column
+            // boundaries so rows don't bleed into each other.
+            let start_mask = stride_mask(w, cols, 0);
+            let end_mask = stride_mask(w, cols, cols - 1);
+            acc |= window(src, base - 1) & !start_mask;
+            acc |= window(src, base + 1) & !end_mask;
+            if wrap {
+                // Torus wrap terms: column 0 ↔ column cols−1 and first
+                // row ↔ last row.
+                acc |= window(src, base + c - 1) & start_mask;
+                acc |= window(src, base - (c - 1)) & end_mask;
+                let nc = (n - cols) as i64;
+                acc |= window(src, base + nc) & range_mask(w, 0, cols);
+                acc |= window(src, base - nc) & range_mask(w, n - cols, n);
+            }
+            *o |= acc;
         }
     }
 
@@ -496,15 +360,18 @@ impl ShardCtx<'_> {
 ///   the nodes, one neighborhood scan and (under noise) one RNG draw each.
 ///   Kept as the differential-testing oracle.
 /// * [`run_round_bitset`](Self::run_round_bitset) — the bit-parallel
-///   production kernel: beepers come in as a [`BitVec`], the received OR is
-///   computed from the set bits (or via precomputed adjacency bitmask rows
-///   on small/dense graphs), and channel noise is applied with batched
-///   geometric-skip sampling.
-/// * The **sharded multi-threaded path** inside the bitset kernel: the
-///   received frame is split into [`shard_count`](Self::shard_count)
-///   word-aligned shards, each computed independently (and, above a work
-///   budget or with [`set_parallelism`](Self::set_parallelism), on worker
-///   threads writing disjoint word ranges).
+///   per-round kernel: beepers come in as a [`BitVec`], the received OR is
+///   computed by the one kernel the graph's [`repr`](Graph::repr) selects
+///   (masked word shifts on implicit complete/torus/grid graphs, CSR
+///   scatter or gather otherwise), and channel noise is applied with
+///   batched geometric-skip sampling. The received frame is split into
+///   [`shard_count`](Self::shard_count) word-aligned shards, each computed
+///   independently (and, above a work budget or with
+///   [`set_parallelism`](Self::set_parallelism), on worker threads writing
+///   disjoint word ranges).
+/// * [`run_frames_batched`](Self::run_frames_batched) — the frame driver
+///   the phase simulators run on: without a fault plan it ORs whole
+///   frames node by node, 64 rounds per word operation.
 ///
 /// # Determinism contract
 ///
@@ -563,7 +430,6 @@ pub struct BeepNetwork {
     last_activity: Option<u64>,
     self_hearing_noisy: bool,
     transcript: Option<Transcript>,
-    kernel: AdjKernel,
     shard_count: usize,
     /// Worker threads for the sharded kernel; 0 = auto heuristic.
     threads: usize,
@@ -583,7 +449,6 @@ impl BeepNetwork {
     pub fn new(graph: Graph, channel: impl Into<ChannelModel>, seed: u64) -> Self {
         let channel = channel.into();
         let beeps_per_node = vec![0; graph.node_count()];
-        let kernel = AdjKernel::auto(&graph);
         BeepNetwork {
             graph,
             channel,
@@ -595,7 +460,6 @@ impl BeepNetwork {
             last_activity: None,
             self_hearing_noisy: true,
             transcript: None,
-            kernel,
             shard_count: DEFAULT_SHARD_COUNT,
             threads: 0,
         }
@@ -694,32 +558,18 @@ impl BeepNetwork {
         self.self_hearing_noisy = noisy;
     }
 
-    /// Overrides the auto-selected bitset kernel: `true` materializes the
-    /// `n × n` adjacency bitmask rows (word-parallel row ORs per beeper),
-    /// `false` uses the sparse scatter. A tuning knob — results are
-    /// identical either way; only [`run_round_bitset`](Self::run_round_bitset)
-    /// throughput changes. On an implicit graph this *turns the implicit
-    /// shift kernel off* (its neighborhoods are enumerated through the
-    /// generic accessors instead), which is how the differential oracle
-    /// gets a second kernel to compare the shift kernel against; build a
-    /// fresh network to get the auto selection back.
-    pub fn set_dense_adjacency(&mut self, dense: bool) {
-        self.kernel = if dense {
-            AdjKernel::DensePending
-        } else {
-            AdjKernel::Sparse
-        };
-    }
-
-    /// A short stable label of the bitset kernel the next round will use:
-    /// `"sparse"`, `"dense"`, or `"implicit"`. Exposed for tests, logs,
-    /// and bench metadata; the kernel never affects results, only speed.
+    /// A short stable label of the bitset kernel the graph's
+    /// [`repr`](Graph::repr) selects: `"sparse"` (CSR scatter/gather) or
+    /// `"implicit"` (the shift kernel of the implicit complete, torus and
+    /// grid graphs). Exposed for logs and bench metadata; the kernel never
+    /// affects results, only speed.
     #[must_use]
     pub fn kernel_label(&self) -> &'static str {
-        match &self.kernel {
-            AdjKernel::Sparse => "sparse",
-            AdjKernel::DensePending | AdjKernel::Dense(_) => "dense",
-            AdjKernel::Implicit(_) => "implicit",
+        match self.graph.repr() {
+            AdjacencyRepr::Csr => "sparse",
+            AdjacencyRepr::Complete { .. }
+            | AdjacencyRepr::Torus { .. }
+            | AdjacencyRepr::Grid { .. } => "implicit",
         }
     }
 
@@ -948,13 +798,13 @@ impl BeepNetwork {
     /// differs. The round is computed in [`shard_count`](Self::shard_count)
     /// word-aligned shards, each owning a disjoint word range of the
     /// output and computed independently — serially, or on worker threads
-    /// (see [`set_parallelism`](Self::set_parallelism)). Per shard the
+    /// (see [`set_parallelism`](Self::set_parallelism)). On a CSR graph the
     /// received OR is built from the beeper set's *set bits only* — each
-    /// beeper scatters its CSR adjacency list (or ORs its precomputed
-    /// adjacency bitmask row, see [`set_dense_adjacency`](Self::set_dense_adjacency)),
-    /// switching to an early-exit neighborhood gather when beepers are
-    /// dense — so a sparse-beeper round is `O(Σ deg(beeper) + n/64)`
-    /// instead of the scalar path's `O(n + m)`. Under [`Noise::Bernoulli`]
+    /// beeper scatters its adjacency list, switching to an early-exit
+    /// neighborhood gather when beepers are dense — so a sparse-beeper
+    /// round is `O(Σ deg(beeper) + n/64)` instead of the scalar path's
+    /// `O(n + m)`; on an implicit graph it is `O(n/64)` word shifts with no
+    /// adjacency at all. Under [`Noise::Bernoulli`]
     /// the channel is applied with geometric-skip batch sampling (`O(ε·n)`
     /// expected RNG draws) from per-shard counter-keyed streams; see the
     /// type-level determinism contract.
@@ -1002,9 +852,6 @@ impl BeepNetwork {
                 actual: beepers.len(),
             });
         }
-        if matches!(self.kernel, AdjKernel::DensePending) {
-            self.kernel = AdjKernel::dense(&self.graph);
-        }
         if received.len() != n {
             *received = BitVec::zeros(n);
         }
@@ -1041,27 +888,16 @@ impl BeepNetwork {
         };
         let beep_count = beepers.count_ones();
         let pre_adaptive_active = pre_adaptive_count.map_or(beep_count > 0, |c| c > 0);
-        let rows = match &self.kernel {
-            AdjKernel::Dense(rows) => Some(rows.as_slice()),
-            _ => None,
-        };
-        let shape = match &self.kernel {
-            AdjKernel::Implicit(shape) => Some(*shape),
-            _ => None,
-        };
-        let gather = rows.is_none() && shape.is_none() && GATHER_DENSITY_FACTOR * beep_count >= n;
-        // The implicit kernel reads the beeper words directly; only the
-        // dense-row and scatter kernels walk the materialized beeper list.
-        let beeper_list: Vec<usize> = if gather || shape.is_some() {
-            Vec::new()
-        } else {
+        let gather = GATHER_DENSITY_FACTOR * beep_count >= n;
+        // Only CSR scatter walks the materialized beeper list; gather and
+        // the implicit kernels read the beeper words directly.
+        let beeper_list: Vec<usize> = if !gather && self.graph.repr() == AdjacencyRepr::Csr {
             beepers.iter_ones().collect()
+        } else {
+            Vec::new()
         };
         let ctx = ShardCtx {
             graph: &self.graph,
-            rows,
-            shape,
-            csr: matches!(self.graph.repr(), AdjacencyRepr::Csr),
             beep_count,
             beepers,
             beeper_list: &beeper_list,
@@ -1138,28 +974,6 @@ impl BeepNetwork {
         Ok(())
     }
 
-    /// Fault-overlay step 1 for one round of the fault path, applied in
-    /// place to an owned effective-beeper bitmap: static fault overrides,
-    /// then the adaptive decision (from the same pre-fan-out
-    /// [`AdversaryView`] every kernel builds), then its spam/mute edits.
-    /// Returns the round's decision and whether any node effectively
-    /// beeped *before* adaptive additions (what `last_activity` tracks).
-    /// The blocked frame driver runs this round-sequentially so its
-    /// transcripts match the per-round kernels bit for bit.
-    fn overlay_step1(&self, effective: &mut BitVec, round: u64) -> (RoundFaults, bool) {
-        self.faults.apply_to_beepers(round, effective);
-        let pre_adaptive_active = effective.count_ones() > 0;
-        let decision = self.faults.decide(&AdversaryView {
-            seed: self.seed,
-            round,
-            beepers: effective,
-            beeps_per_node: &self.beeps_per_node,
-            last_activity: self.last_activity,
-        });
-        decision.apply_to_beepers(effective);
-        (decision, pre_adaptive_active)
-    }
-
     /// Runs a whole batch of rounds from per-node transmit frames — the
     /// frame API the phase simulators run on. `frames[v]` is node `v`'s
     /// schedule (bit `i` set ⇒ beep in round `i`), `None` means listen
@@ -1172,8 +986,7 @@ impl BeepNetwork {
     /// Byte-identical to driving the schedule one
     /// [`run_round_bitset_into`](Self::run_round_bitset_into) call per
     /// round — heard bits, stats, per-node energy, transcript and the
-    /// channel's `(seed, round, shard)` noise cells — on either of two
-    /// paths:
+    /// channel's `(seed, round, shard)` noise cells:
     ///
     /// * **Node-major** (no [`FaultPlan`] installed): `heard[v]` is the OR
     ///   of `v`'s own frame and its neighbours' frames, 64 rounds per word
@@ -1181,10 +994,9 @@ impl BeepNetwork {
     ///   channel is then replayed cell by cell on 64×64-transposed
     ///   round-major words, in round order, with the per-round kernel's
     ///   shard layout and `protect` set.
-    /// * **Round-major, cache-blocked** (a plan installed): adaptive
-    ///   policies decide round by round from cumulative state, so rounds
-    ///   are prepared sequentially in blocks of 32 rounds and each shard
-    ///   then computes all of a block's rounds back to back.
+    /// * **Round by round** (a plan installed): adaptive policies decide
+    ///   each round from cumulative state, so the schedule is driven
+    ///   through exactly that per-round call.
     ///
     /// Pinned by the frame oracle tests and golden FNV fingerprints.
     ///
@@ -1265,8 +1077,21 @@ impl BeepNetwork {
         heard.resize_with(n, || BitVec::zeros(rounds));
         if self.faults.is_empty() {
             self.run_frames_node_major(frames, &transmitters, rounds, heard);
-        } else {
-            self.run_frames_blocked(&transmitters, rounds, heard);
+            return Ok(());
+        }
+        let mut beepers = BitVec::zeros(n);
+        let mut received = BitVec::zeros(n);
+        for i in 0..rounds {
+            beepers.clear();
+            for &(v, f) in &transmitters {
+                if f.get(i) {
+                    beepers.set(v, true);
+                }
+            }
+            self.run_round_bitset_into(&beepers, &mut received)?;
+            for v in received.iter_ones() {
+                heard[v].set(i, true);
+            }
         }
         Ok(())
     }
@@ -1379,183 +1204,6 @@ impl BeepNetwork {
                     heard[g * 64 + j].as_words_mut()[block] = w;
                 }
             }
-        }
-    }
-
-    /// The fault-path frame driver: the whole transmit schedule is driven
-    /// in blocks of [`FRAME_BLOCK_ROUNDS`] rounds, and within a block each
-    /// shard computes *all* its rounds back to back. A shard's output
-    /// words and the block's beeper bitmaps stay hot in L2 across the
-    /// block, and each shard touches the adjacency once per block instead
-    /// of once per round. Rounds are prepared (fault overlay, adaptive
-    /// decisions, stats, transcript) sequentially in submission order
-    /// before the block fans out, and noise stays keyed by `(seed, round,
-    /// shard)`. `heard` arrives zeroed and shaped `n × rounds`.
-    fn run_frames_blocked(
-        &mut self,
-        transmitters: &[(usize, &BitVec)],
-        rounds: usize,
-        heard: &mut [BitVec],
-    ) {
-        let n = self.graph.node_count();
-        if matches!(self.kernel, AdjKernel::DensePending) {
-            self.kernel = AdjKernel::dense(&self.graph);
-        }
-        let shape = match &self.kernel {
-            AdjKernel::Implicit(shape) => Some(*shape),
-            _ => None,
-        };
-        let csr = matches!(self.graph.repr(), AdjacencyRepr::Csr);
-        // Shard layout: identical to the per-round kernel's — a pure
-        // function of (n, shard_count), so the (round, shard) noise cells
-        // line up exactly.
-        let words_len = n.div_ceil(64);
-        let per = words_len.div_ceil(self.shard_count).max(1);
-        let num_shards = words_len.div_ceil(per);
-        let mut slab: Vec<u64> = Vec::new();
-        let mut base = 0usize;
-        while base < rounds {
-            let block = FRAME_BLOCK_ROUNDS.min(rounds - base);
-            // Sequential pre-pass: assemble each round's effective beeper
-            // bitmap and run everything order-dependent (fault overlay,
-            // adaptive decisions, stats, energy, transcript, activity
-            // tracking) exactly as the round-by-round driver would.
-            let mut block_beepers: Vec<BitVec> = Vec::with_capacity(block);
-            let mut decisions: Vec<RoundFaults> = Vec::with_capacity(block);
-            let mut round_meta: Vec<(u64, u64, usize)> = Vec::with_capacity(block);
-            for i in 0..block {
-                let mut eff = BitVec::zeros(n);
-                for &(v, f) in transmitters {
-                    if f.get(base + i) {
-                        eff.set(v, true);
-                    }
-                }
-                let round = self.stats.rounds as u64;
-                let (decision, pre_adaptive_active) = self.overlay_step1(&mut eff, round);
-                let beep_count = eff.count_ones();
-                if pre_adaptive_active {
-                    self.last_activity = Some(round);
-                }
-                self.stats.rounds += 1;
-                self.stats.beeps += beep_count as u64;
-                self.stats.listens += (n - beep_count) as u64;
-                for u in eff.iter_ones() {
-                    self.beeps_per_node[u] += 1;
-                }
-                if let Some(t) = &mut self.transcript {
-                    t.push(eff.clone());
-                }
-                round_meta.push((
-                    round,
-                    self.channel.round_state(self.seed, round),
-                    beep_count,
-                ));
-                decisions.push(decision);
-                block_beepers.push(eff);
-            }
-            let rows = match &self.kernel {
-                AdjKernel::Dense(rows) => Some(rows.as_slice()),
-                _ => None,
-            };
-            let beeper_lists: Vec<Vec<usize>> = block_beepers
-                .iter()
-                .enumerate()
-                .map(|(i, eff)| {
-                    let gather = rows.is_none()
-                        && shape.is_none()
-                        && GATHER_DENSITY_FACTOR * round_meta[i].2 >= n;
-                    if gather || shape.is_some() {
-                        Vec::new()
-                    } else {
-                        eff.iter_ones().collect()
-                    }
-                })
-                .collect();
-            let ctxs: Vec<ShardCtx> = (0..block)
-                .map(|i| ShardCtx {
-                    graph: &self.graph,
-                    rows,
-                    shape,
-                    csr,
-                    beep_count: round_meta[i].2,
-                    beepers: &block_beepers[i],
-                    beeper_list: &beeper_lists[i],
-                    protect: (!self.self_hearing_noisy).then_some(&block_beepers[i]),
-                    channel: &self.channel,
-                    seed: self.seed,
-                    round: round_meta[i].0,
-                    shard_count: self.shard_count,
-                    round_state: round_meta[i].1,
-                    gather: rows.is_none()
-                        && shape.is_none()
-                        && GATHER_DENSITY_FACTOR * round_meta[i].2 >= n,
-                })
-                .collect();
-            // Shard-major main pass over one flat slab: shard `s` owns a
-            // contiguous `len_s × block` run of words, so worker threads
-            // write disjoint slices and a shard's rounds are adjacent in
-            // memory. Per (shard, round) cell the computation is exactly
-            // `ShardCtx::compute` — the same OR, the same noise stream.
-            slab.clear();
-            slab.resize(words_len * block, 0);
-            let threads = self.effective_threads().min(num_shards.max(1));
-            let mut queues: Vec<Vec<(usize, &mut [u64])>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for (s, shard_slab) in slab.chunks_mut(per * block).enumerate() {
-                queues[s % threads].push((s, shard_slab));
-            }
-            let run_queue = |queue: Vec<(usize, &mut [u64])>| {
-                for (s, shard_slab) in queue {
-                    let len_s = shard_slab.len() / block;
-                    let lo = s * per * 64;
-                    let hi = (lo + len_s * 64).min(n);
-                    for (i, seg) in shard_slab.chunks_mut(len_s).enumerate() {
-                        ctxs[i].compute(s, lo, hi, seg);
-                    }
-                }
-            };
-            if threads <= 1 {
-                for queue in queues {
-                    run_queue(queue);
-                }
-            } else {
-                let own = queues.pop().expect("threads >= 2 queues");
-                std::thread::scope(|scope| {
-                    for queue in queues {
-                        scope.spawn(|| run_queue(queue));
-                    }
-                    run_queue(own);
-                });
-            }
-            // Post-pass: scatter the slab into per-node heard strings and
-            // apply fault-overlay step 2 (crash deafness + adaptive
-            // deafening) per round — the same post-channel point as the
-            // per-round kernels.
-            for (s, shard_slab) in slab.chunks(per * block).enumerate() {
-                let len_s = shard_slab.len() / block;
-                let lo = s * per * 64;
-                for (i, seg) in shard_slab.chunks(len_s).enumerate() {
-                    for (wi, &word) in seg.iter().enumerate() {
-                        let word_base = lo + wi * 64;
-                        let mut bits = word;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            heard[word_base + b].set(base + i, true);
-                        }
-                    }
-                }
-            }
-            for (i, decision) in decisions.iter().enumerate() {
-                let round = round_meta[i].0;
-                for v in self.faults.crashed(round) {
-                    heard[v].set(base + i, false);
-                }
-                for &v in decision.deafen() {
-                    heard[v].set(base + i, false);
-                }
-            }
-            base += block;
         }
     }
 
@@ -1976,14 +1624,10 @@ mod tests {
         for ones in [1, 3, n / 4, n] {
             let beepers = BitVec::from_fn(n, |v| v % (n / ones).max(1) == 0);
             let mut sparse = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-            sparse.set_dense_adjacency(false);
-            let mut dense = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-            dense.set_dense_adjacency(true);
             let mut scalar = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
             let actions: Vec<Action> = (0..n).map(|v| Action::from_bit(beepers.get(v))).collect();
             let expected: BitVec = BitVec::from_bools(&scalar.run_round(&actions).unwrap());
             assert_eq!(sparse.run_round_bitset(&beepers).unwrap(), expected);
-            assert_eq!(dense.run_round_bitset(&beepers).unwrap(), expected);
         }
     }
 
@@ -2022,6 +1666,51 @@ mod tests {
             .run_frames_batched_into(&frames, 3, &mut heard)
             .unwrap();
         assert_eq!(heard, expected);
+        // Under a crash plan the frames run round by round: the same
+        // reshaping, and node 2 is deaf from round 1 on.
+        use crate::faults::FaultKind;
+        let plan =
+            FaultPlan::try_from_assignments(vec![(2, FaultKind::Crash { round: 1 })]).unwrap();
+        let mut crashed = BeepNetwork::new(topology::path(3).unwrap(), Noise::Noiseless, 0);
+        crashed.set_fault_plan(plan).unwrap();
+        let mut heard = vec![
+            BitVec::ones(5),
+            BitVec::ones(3),
+            BitVec::ones(3),
+            BitVec::ones(1),
+        ];
+        crashed
+            .run_frames_batched_into(&frames, 3, &mut heard)
+            .unwrap();
+        assert_eq!(
+            heard.iter().map(BitVec::to_string).collect::<Vec<_>>(),
+            ["101", "101", "000"]
+        );
+        assert_eq!(crashed.stats().beeps, 2);
+    }
+
+    #[test]
+    fn kernel_label_follows_the_representation() {
+        for g in [
+            Graph::implicit_torus(4, 5).unwrap(),
+            Graph::implicit_grid(3, 5),
+            Graph::implicit_complete(9),
+        ] {
+            let label = |g: &Graph| BeepNetwork::new(g.clone(), Noise::Noiseless, 0).kernel_label();
+            assert_eq!(label(&g), "implicit", "{:?}", g.repr());
+            assert_eq!(label(&g.materialize()), "sparse", "{:?}", g.repr());
+        }
+        for g in [
+            topology::complete(9).unwrap(),
+            topology::torus(4, 5).unwrap(),
+            topology::grid(3, 5).unwrap(),
+            topology::path(3).unwrap(),
+        ] {
+            assert_eq!(
+                BeepNetwork::new(g, Noise::Noiseless, 0).kernel_label(),
+                "sparse"
+            );
+        }
     }
 
     #[test]
@@ -2051,20 +1740,6 @@ mod tests {
         let received = net.run_round_bitset(&BitVec::zeros(0)).unwrap();
         assert!(received.is_empty());
         assert_eq!(net.stats().rounds, 1);
-    }
-
-    #[test]
-    fn dense_and_sparse_kernels_agree() {
-        let g = topology::grid(4, 4).unwrap();
-        let beepers = BitVec::from_indices(16, [0, 5, 10, 15]);
-        let mut dense = BeepNetwork::new(g.clone(), Noise::Noiseless, 0);
-        dense.set_dense_adjacency(true);
-        let mut sparse = BeepNetwork::new(g, Noise::Noiseless, 0);
-        sparse.set_dense_adjacency(false);
-        assert_eq!(
-            dense.run_round_bitset(&beepers).unwrap(),
-            sparse.run_round_bitset(&beepers).unwrap()
-        );
     }
 
     // Regression: run_protocols keeps driving act()/feedback() on nodes

@@ -1,7 +1,7 @@
 //! Differential oracle: the bit-parallel kernel (`run_round_bitset`,
 //! `run_frames_batched`) against the scalar reference `run_round`, bit-exact under
 //! `Noise::Noiseless`, across **every** `topology::*` generator, both
-//! adjacency kernels, and the sharded multi-threaded execution path at
+//! adjacency representations, and the sharded multi-threaded execution path at
 //! thread counts {1, 2, 4, 8} — plus the statistical contract of the
 //! batched noisy channel.
 //!
@@ -53,9 +53,9 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "random_tree(16)".into(),
             topology::random_tree(16, &mut rng).unwrap(),
         ),
-        // Compressed/implicit adjacency representations: same edge sets as
-        // generator-built CSR graphs, zero (or delta-varint) storage. Every
-        // oracle in this file sweeps them alongside the materialized forms.
+        // Implicit adjacency representations: same edge sets as
+        // generator-built CSR graphs, zero storage. Every oracle in this
+        // file sweeps them alongside the materialized forms.
         ("torus(4,5)".into(), topology::torus(4, 5).unwrap()),
         (
             "implicit_torus(4,5)".into(),
@@ -69,21 +69,19 @@ fn all_topologies() -> Vec<(String, Graph)> {
             "implicit_complete(9)".into(),
             topology::implicit_complete(9).unwrap(),
         ),
-        (
-            "delta_csr(pa(15,2))".into(),
-            topology::preferential_attachment(15, 2, &mut rng)
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
-        ),
-        (
-            "delta_csr(gnp(15,0.3))".into(),
-            topology::gnp(15, 0.3, &mut rng)
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
-        ),
     ]
+}
+
+/// [`all_topologies`] plus two 130-node graphs, CSR and implicit: more
+/// than one word per round, and `n` not a multiple of 64.
+fn multi_word_topologies() -> Vec<(String, Graph)> {
+    let mut graphs = all_topologies();
+    graphs.push(("cycle(130)".into(), topology::cycle(130).unwrap()));
+    graphs.push((
+        "implicit_torus(10,13)".into(),
+        topology::implicit_torus(10, 13).unwrap(),
+    ));
+    graphs
 }
 
 /// Random beep probability per round, chosen to cover silent, sparse and
@@ -96,6 +94,42 @@ fn random_actions(n: usize, density: f64, rng: &mut StdRng) -> Vec<Action> {
 
 fn beeper_bitmap(actions: &[Action]) -> BitVec {
     BitVec::from_fn(actions.len(), |v| actions[v] == Action::Beep)
+}
+
+/// The scalar reference frame driver: one `run_round` call per round, each
+/// node's heard bit scattered into its string.
+fn drive_scalar(net: &mut BeepNetwork, frames: &[Option<BitVec>], rounds: usize) -> Vec<BitVec> {
+    let n = frames.len();
+    let mut heard = vec![BitVec::zeros(rounds); n];
+    let mut actions = vec![Action::Listen; n];
+    for i in 0..rounds {
+        for (v, frame) in frames.iter().enumerate() {
+            actions[v] = Action::from_bit(frame.as_ref().is_some_and(|f| f.get(i)));
+        }
+        for (v, &bit) in net.run_round(&actions).unwrap().iter().enumerate() {
+            if bit {
+                heard[v].set(i, true);
+            }
+        }
+    }
+    heard
+}
+
+/// Schedules the faulted frame oracles run back to back on one network:
+/// 8 rounds, then 0, 1, 63, 64 and 65 around the 64-round word boundary
+/// (half the nodes transmit random frames), then 20 all-silent rounds.
+fn boundary_schedules(n: usize, rng: &mut StdRng) -> Vec<(Vec<Option<BitVec>>, usize)> {
+    let mut schedules: Vec<(Vec<Option<BitVec>>, usize)> = [8, 0, 1, 63, 64, 65]
+        .into_iter()
+        .map(|len| {
+            let frames = (0..n)
+                .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, rng)))
+                .collect();
+            (frames, len)
+        })
+        .collect();
+    schedules.push((vec![None; n], 20));
+    schedules
 }
 
 /// The round-by-round reference frame driver: one `run_round_bitset_into`
@@ -126,45 +160,35 @@ fn bitset_kernel_is_bit_identical_to_scalar_on_every_topology() {
     let mut rng = StdRng::seed_from_u64(7);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        // `None` keeps the auto-selected kernel (the implicit shift kernel
-        // on implicit graphs); the overrides force the generic sparse and
-        // dense-row kernels, so every representation is checked under
-        // every kernel it can run.
-        for mode in [None, Some(false), Some(true)] {
-            let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-            let mut bitset = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
-            if let Some(dense) = mode {
-                bitset.set_dense_adjacency(dense);
-            }
-            scalar.record_transcript();
-            bitset.record_transcript();
-            for round in 0..12 {
-                let density = [0.0, 0.05, 0.3, 1.0][round % 4];
-                let actions = random_actions(n, density, &mut rng);
-                let beepers = beeper_bitmap(&actions);
-                let via_scalar = scalar.run_round(&actions).unwrap();
-                let via_bitset = bitset.run_round_bitset(&beepers).unwrap();
-                assert_eq!(
-                    via_scalar,
-                    via_bitset.iter_bits().collect::<Vec<bool>>(),
-                    "{name} (kernel={}) round {round}",
-                    bitset.kernel_label()
-                );
-            }
-            // Bookkeeping must agree too: stats, per-node energy,
-            // transcript.
-            assert_eq!(scalar.stats(), bitset.stats(), "{name} stats");
+        let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
+        let mut bitset = BeepNetwork::new(graph.clone(), Noise::Noiseless, 1);
+        scalar.record_transcript();
+        bitset.record_transcript();
+        for round in 0..12 {
+            let density = [0.0, 0.05, 0.3, 1.0][round % 4];
+            let actions = random_actions(n, density, &mut rng);
+            let beepers = beeper_bitmap(&actions);
+            let via_scalar = scalar.run_round(&actions).unwrap();
+            let via_bitset = bitset.run_round_bitset(&beepers).unwrap();
             assert_eq!(
-                scalar.beeps_by_node(),
-                bitset.beeps_by_node(),
-                "{name} energy"
-            );
-            assert_eq!(
-                scalar.transcript(),
-                bitset.transcript(),
-                "{name} transcript"
+                via_scalar,
+                via_bitset.iter_bits().collect::<Vec<bool>>(),
+                "{name} (kernel={}) round {round}",
+                bitset.kernel_label()
             );
         }
+        // Bookkeeping must agree too: stats, per-node energy, transcript.
+        assert_eq!(scalar.stats(), bitset.stats(), "{name} stats");
+        assert_eq!(
+            scalar.beeps_by_node(),
+            bitset.beeps_by_node(),
+            "{name} energy"
+        );
+        assert_eq!(
+            scalar.transcript(),
+            bitset.transcript(),
+            "{name} transcript"
+        );
     }
 }
 
@@ -180,21 +204,7 @@ fn frames_match_round_by_round_scalar_driving() {
             .collect();
         let mut scalar = BeepNetwork::new(graph.clone(), Noise::Noiseless, 2);
         let mut batched = BeepNetwork::new(graph.clone(), Noise::Noiseless, 2);
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
-        }
+        let expected = drive_scalar(&mut scalar, &frames, len);
         let heard = batched.run_frames_batched(&frames, len).unwrap();
         assert_eq!(heard, expected, "{name}");
         assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
@@ -688,45 +698,30 @@ fn adaptive_frames_match_round_by_round_driving() {
     // run_frames_batched under an adaptive plan ≡ driving the same frame one
     // run_round at a time: the per-round decision must be recomputed per
     // slot inside the batched kernel (the adversary watches slots, not
-    // frames).
+    // frames). The schedules run back to back, so later ones see the
+    // cumulative energy and activity of earlier ones.
     let mut rng = StdRng::seed_from_u64(0xADA8);
     let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
         .unwrap()
         .into();
-    for (name, graph) in all_topologies() {
+    for (name, graph) in multi_word_topologies() {
         let n = graph.node_count();
-        let len = 8;
         let plan = FaultPlan::realize(n, 0.2, FaultKind::Crash { round: 4 }, 0xB0)
             .unwrap()
             .with_policy(AdaptivePolicy::RushingSpam {
                 budget: n / 8 + 1,
                 window: 2,
             });
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
         let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 37);
         scalar.set_fault_plan(plan.clone()).unwrap();
         let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 37);
         batched.set_fault_plan(plan).unwrap();
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
+        for (frames, len) in boundary_schedules(n, &mut rng) {
+            let expected = drive_scalar(&mut scalar, &frames, len);
+            let heard = batched.run_frames_batched(&frames, len).unwrap();
+            assert_eq!(heard, expected, "{name} len={len}");
+            assert_eq!(scalar.stats(), batched.stats(), "{name} len={len} stats");
         }
-        let heard = batched.run_frames_batched(&frames, len).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
 }
 
@@ -842,35 +837,19 @@ fn faulted_frames_match_round_by_round_driving() {
     let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
         .unwrap()
         .into();
-    for (name, graph) in all_topologies() {
+    for (name, graph) in multi_word_topologies() {
         let n = graph.node_count();
-        let len = 8;
         let plan = FaultPlan::realize(n, 0.3, FaultKind::Crash { round: 4 }, 0xFD).unwrap();
-        let frames: Vec<Option<BitVec>> = (0..n)
-            .map(|v| (v % 2 == 0).then(|| BitVec::random_uniform(len, &mut rng)))
-            .collect();
         let mut scalar = BeepNetwork::new(graph.clone(), channel.clone(), 31);
         scalar.set_fault_plan(plan.clone()).unwrap();
         let mut batched = BeepNetwork::new(graph.clone(), channel.clone(), 31);
         batched.set_fault_plan(plan).unwrap();
-        let mut expected: Vec<BitVec> = (0..n).map(|_| BitVec::zeros(len)).collect();
-        let mut actions = vec![Action::Listen; n];
-        for i in 0..len {
-            for (v, frame) in frames.iter().enumerate() {
-                actions[v] = match frame {
-                    Some(f) if f.get(i) => Action::Beep,
-                    _ => Action::Listen,
-                };
-            }
-            for (v, &bit) in scalar.run_round(&actions).unwrap().iter().enumerate() {
-                if bit {
-                    expected[v].set(i, true);
-                }
-            }
+        for (frames, len) in boundary_schedules(n, &mut rng) {
+            let expected = drive_scalar(&mut scalar, &frames, len);
+            let heard = batched.run_frames_batched(&frames, len).unwrap();
+            assert_eq!(heard, expected, "{name} len={len}");
+            assert_eq!(scalar.stats(), batched.stats(), "{name} len={len} stats");
         }
-        let heard = batched.run_frames_batched(&frames, len).unwrap();
-        assert_eq!(heard, expected, "{name}");
-        assert_eq!(scalar.stats(), batched.stats(), "{name} stats");
     }
 }
 
@@ -915,13 +894,12 @@ fn faulted_noisy_transcripts_are_thread_and_shard_invariant() {
 }
 
 #[test]
-fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
+fn implicit_reprs_reproduce_materialized_noisy_transcripts() {
     // The adjacency representation is NOT part of the determinism tuple:
-    // an implicit or delta-compressed graph with the same edge set as a
-    // materialized CSR graph must produce byte-identical noisy transcripts
+    // an implicit graph with the same edge set as a materialized CSR
+    // graph must produce byte-identical noisy transcripts
     // at every thread and shard count, because channel noise is keyed by
     // (seed, round, shard) and the OR is representation-independent.
-    let mut rng = StdRng::seed_from_u64(0xC0DE);
     let pairs: Vec<(String, Graph, Graph)> = vec![
         (
             "torus(5,7)".into(),
@@ -938,18 +916,9 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
             topology::complete(11).unwrap(),
             topology::implicit_complete(11).unwrap(),
         ),
-        (
-            "pa(20,3)".into(),
-            topology::preferential_attachment(20, 3, &mut rng).unwrap(),
-            topology::preferential_attachment(20, 3, &mut StdRng::seed_from_u64(0xC0DE))
-                .unwrap()
-                .to_delta_csr()
-                .unwrap(),
-        ),
     ];
-    // (The PA pair re-seeds its RNG so both builds sample the same graph.)
     let mut rng = StdRng::seed_from_u64(0x51AB);
-    for (name, csr, compressed) in pairs {
+    for (name, csr, implicit) in pairs {
         let n = csr.node_count();
         let beeper_sets: Vec<BitVec> = (0..10)
             .map(|round| {
@@ -970,7 +939,7 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
                 };
                 assert_eq!(
                     run(&csr),
-                    run(&compressed),
+                    run(&implicit),
                     "{name} threads={threads} shards={shards}"
                 );
             }
@@ -981,13 +950,12 @@ fn implicit_and_compressed_reprs_reproduce_materialized_noisy_transcripts() {
 #[test]
 fn batched_frames_match_round_by_round_driving_on_every_topology() {
     // run_frames_batched ≡ round-by-round driving, bit for bit, noisy, across every
-    // topology (incl. implicit/compressed reprs), threads {1, 2, 4, 8} ×
-    // shards {1, 2, 8}. The schedule is longer than one cache block so the
-    // equivalence crosses a block boundary.
+    // topology (incl. implicit reprs), threads {1, 2, 4, 8} × shards
+    // {1, 2, 8}.
     let mut rng = StdRng::seed_from_u64(0xBA7C);
     for (name, graph) in all_topologies() {
         let n = graph.node_count();
-        let len = 40; // > FRAME_BLOCK_ROUNDS: at least two blocks
+        let len = 40;
         let frames: Vec<Option<BitVec>> = (0..n)
             .map(|v| (v % 3 != 1).then(|| BitVec::random_uniform(len, &mut rng)))
             .collect();
@@ -1022,10 +990,9 @@ fn batched_frames_match_round_by_round_driving_on_every_topology() {
 
 #[test]
 fn batched_frames_match_round_by_round_driving_under_faults_and_adaptive_adversaries() {
-    // The batched driver's sequential pre-pass must reproduce the fault
-    // overlay exactly: static crashes mid-schedule, adaptive decisions
-    // fed by the rounds the same block already prepared, crash deafness
-    // applied per slot.
+    // The batched driver must reproduce the fault overlay exactly: static
+    // crashes mid-schedule, adaptive decisions fed by the rounds the same
+    // call already ran, crash deafness applied per slot.
     let mut rng = StdRng::seed_from_u64(0xBA7D);
     let channel: ChannelModel = GilbertElliott::try_new(0.05, 0.3, 0.25, 0.4)
         .unwrap()

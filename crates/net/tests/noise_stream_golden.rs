@@ -584,11 +584,11 @@ fn batched_frames_reproduce_the_golden_per_round_stream() {
 
 #[test]
 fn golden_batched_implicit_transcript_crosses_a_block_boundary() {
-    // One pin covering both new paths at once: a 40-round schedule (two
-    // cache blocks) through `run_frames_batched` on the implicit torus.
-    // The per-round loop on the materialized torus must produce the same
-    // bytes, and the fingerprint is pinned so a change to the block
-    // pre-pass ordering or the slab scatter fails loudly.
+    // One pin covering the frame driver and the implicit representation
+    // at once: a 40-round schedule through `run_frames_batched` on the
+    // implicit torus. The per-round loop on the materialized torus must
+    // produce the same bytes, and the fingerprint is pinned so a change
+    // to the frame driver's noise replay fails loudly.
     let rounds = 40;
     let frames: Vec<Option<BitVec>> = (0..512)
         .map(|v| Some(BitVec::from_fn(rounds, |r| (v + r) % 37 == 0)))
