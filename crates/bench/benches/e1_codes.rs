@@ -102,6 +102,12 @@ fn bench_decoding(c: &mut Criterion) {
             )
         });
     });
+    // Same received string and candidates, decoded against a codebook
+    // built once outside the timed loop (how a simulated round decodes).
+    let codebook = msg_decoder.codebook(&candidates);
+    group.bench_function("message-decode 64 candidates (codebook)", |b| {
+        b.iter(|| black_box(codebook.decode(&received).unwrap()));
+    });
     group.finish();
 }
 

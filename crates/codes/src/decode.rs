@@ -14,7 +14,9 @@
 //!   the network simulator uses: scoring every node's codeword plus random
 //!   decoys measures exactly the error events Lemmas 8–10 bound, without the
 //!   `2^a` enumeration the paper's information-theoretic decoder performs
-//!   (see DESIGN.md §3, substitution 2).
+//!   (see DESIGN.md §3, substitution 2). A [`MessageCodebook`] is the
+//!   message decoder's candidate list with its codewords derived once, for
+//!   scoring many received strings against the same list.
 //! * **exhaustive decoding** — enumerate the full input space; exact but
 //!   exponential, intended for validating the candidate decoder at small
 //!   sizes and for tests.
@@ -22,6 +24,7 @@
 use crate::error::CodeError;
 use crate::{BeepCode, DistanceCode};
 use beep_bits::BitVec;
+use std::borrow::Borrow;
 
 /// Upper limit on input bits for exhaustive decoding (2^24 codeword
 /// evaluations is the largest that stays interactive in debug builds).
@@ -90,12 +93,7 @@ impl<'a> SetDecoder<'a> {
         received: &BitVec,
         candidates: impl IntoIterator<Item = &'b BitVec>,
     ) -> Result<Vec<BitVec>, CodeError> {
-        if received.len() != self.code.params().length() {
-            return Err(CodeError::ReceivedLength {
-                expected: self.code.params().length(),
-                actual: received.len(),
-            });
-        }
+        check_received_length(received, self.code.params().length())?;
         Ok(candidates
             .into_iter()
             .filter(|r| self.accepts(r, received))
@@ -120,12 +118,7 @@ impl<'a> SetDecoder<'a> {
                 ),
             });
         }
-        if received.len() != self.code.params().length() {
-            return Err(CodeError::ReceivedLength {
-                expected: self.code.params().length(),
-                actual: received.len(),
-            });
-        }
+        check_received_length(received, self.code.params().length())?;
         let mut out = Vec::new();
         for v in 0..(1u64 << a) {
             let r = BitVec::from_u64_lsb(v, a);
@@ -153,6 +146,14 @@ pub struct DecodedMessage {
 
 /// Phase-2 message decoder (Lemma 10): nearest-codeword decoding of the
 /// projected string `ỹ_{v,w}` against the distance code.
+///
+/// [`decode_candidates`](Self::decode_candidates) derives each candidate's
+/// codeword `D(m)` on every call. When many received strings are scored
+/// against the same candidate list — every accepted projection of a
+/// simulated round — build a [`MessageCodebook`] once with
+/// [`codebook`](Self::codebook) instead: it gives the same answers with
+/// each `D(m)` derived once. Every entry point shares one nearest-codeword
+/// scoring loop.
 #[derive(Debug, Clone)]
 pub struct MessageDecoder<'a> {
     code: &'a DistanceCode,
@@ -178,36 +179,16 @@ impl<'a> MessageDecoder<'a> {
         received: &BitVec,
         candidates: impl IntoIterator<Item = &'b BitVec>,
     ) -> Result<DecodedMessage, CodeError> {
-        if received.len() != self.code.params().length() {
-            return Err(CodeError::ReceivedLength {
-                expected: self.code.params().length(),
-                actual: received.len(),
-            });
-        }
-        let mut best: Option<(usize, &BitVec)> = None;
-        let mut runner_up: Option<usize> = None;
-        for m in candidates {
-            let d = self.code.encode(m).hamming_distance(received);
-            match best {
-                None => best = Some((d, m)),
-                Some((bd, _)) if d < bd => {
-                    runner_up = Some(bd);
-                    best = Some((d, m));
-                }
-                Some(_) => {
-                    runner_up = Some(runner_up.map_or(d, |r| r.min(d)));
-                }
-            }
-        }
-        let (distance, message) = best.ok_or(CodeError::NoCandidates)?;
-        Ok(DecodedMessage {
-            message: message.clone(),
-            distance,
-            margin: runner_up.map(|r| r - distance),
-        })
+        check_received_length(received, self.code.params().length())?;
+        nearest(
+            candidates
+                .into_iter()
+                .map(|m| (self.code.encode(m).hamming_distance(received), m)),
+        )
     }
 
-    /// Exhaustively decodes over all `2^a` messages.
+    /// Exhaustively decodes over all `2^a` messages, streaming the
+    /// enumeration (constant memory: no message list is materialized).
     ///
     /// # Errors
     ///
@@ -223,11 +204,119 @@ impl<'a> MessageDecoder<'a> {
                 ),
             });
         }
-        let all: Vec<BitVec> = (0..(1u64 << a))
-            .map(|v| BitVec::from_u64_lsb(v, a))
-            .collect();
-        self.decode_candidates(received, all.iter())
+        check_received_length(received, self.code.params().length())?;
+        nearest((0..(1u64 << a)).map(|v| {
+            let m = BitVec::from_u64_lsb(v, a);
+            (self.code.encode(&m).hamming_distance(received), m)
+        }))
     }
+
+    /// Derives the distance codeword of every candidate once, for repeated
+    /// [`MessageCodebook::decode`] calls against the same candidate list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate is not `a` bits long (as
+    /// [`DistanceCode::encode`] does).
+    #[must_use]
+    pub fn codebook<'b>(
+        &self,
+        candidates: impl IntoIterator<Item = &'b BitVec>,
+    ) -> MessageCodebook {
+        let length = self.code.params().length();
+        let stride = length.div_ceil(64);
+        let messages: Vec<BitVec> = candidates.into_iter().cloned().collect();
+        let mut words = Vec::with_capacity(messages.len() * stride);
+        for m in &messages {
+            words.extend_from_slice(self.code.encode(m).as_words());
+        }
+        MessageCodebook {
+            messages,
+            words,
+            stride,
+            length,
+        }
+    }
+}
+
+/// A candidate message list with its distance codewords `D(m)` derived
+/// once (built by [`MessageDecoder::codebook`]).
+///
+/// The codewords are stored contiguously, `stride` words each, in candidate
+/// order. [`decode`](Self::decode) answers exactly as
+/// [`MessageDecoder::decode_candidates`] does on the same list — nearest
+/// codeword, ties toward the earlier candidate, the same `distance`,
+/// `margin` and errors — without re-deriving any codeword.
+#[derive(Debug, Clone)]
+pub struct MessageCodebook {
+    messages: Vec<BitVec>,
+    words: Vec<u64>,
+    stride: usize,
+    length: usize,
+}
+
+impl MessageCodebook {
+    /// Decodes `received` to the nearest candidate. Ties break toward the
+    /// earlier candidate (deterministic).
+    ///
+    /// # Errors
+    ///
+    /// * [`CodeError::NoCandidates`] if the codebook is empty.
+    /// * [`CodeError::ReceivedLength`] if `received` is not one distance
+    ///   codeword long.
+    pub fn decode(&self, received: &BitVec) -> Result<DecodedMessage, CodeError> {
+        check_received_length(received, self.length)?;
+        let received = received.as_words();
+        let codewords = self.words.chunks_exact(self.stride);
+        nearest(codewords.zip(&self.messages).map(|(cw, m)| {
+            let d: u32 = cw
+                .iter()
+                .zip(received)
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            (d as usize, m)
+        }))
+    }
+}
+
+fn check_received_length(received: &BitVec, expected: usize) -> Result<(), CodeError> {
+    if received.len() == expected {
+        Ok(())
+    } else {
+        Err(CodeError::ReceivedLength {
+            expected,
+            actual: received.len(),
+        })
+    }
+}
+
+/// The one nearest-codeword scoring loop: picks the minimum-distance
+/// message of `(distance, message)` pairs, ties toward the earlier one,
+/// with its distance and margin (runner-up distance minus winner's; `None`
+/// for a single message).
+fn nearest<M: Borrow<BitVec>>(
+    scored: impl Iterator<Item = (usize, M)>,
+) -> Result<DecodedMessage, CodeError> {
+    let mut best: Option<(usize, M)> = None;
+    let mut runner_up: Option<usize> = None;
+    for (d, m) in scored {
+        match &best {
+            None => best = Some((d, m)),
+            Some((bd, _)) if d < *bd => {
+                runner_up = Some(*bd);
+                best = Some((d, m));
+            }
+            Some(_) => {
+                runner_up = Some(runner_up.map_or(d, |r| r.min(d)));
+            }
+        }
+    }
+    let (distance, message) = best.ok_or(CodeError::NoCandidates)?;
+    Ok(DecodedMessage {
+        message: message.borrow().clone(),
+        distance,
+        margin: runner_up.map(|r| r - distance),
+    })
 }
 
 #[cfg(test)]

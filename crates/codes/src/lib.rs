@@ -58,7 +58,7 @@ pub mod verify;
 
 pub use beep_code::{BeepCode, BeepCodeParams};
 pub use combined::CombinedCode;
-pub use decode::{DecodedMessage, MessageDecoder, SetDecoder};
+pub use decode::{DecodedMessage, MessageCodebook, MessageDecoder, SetDecoder};
 pub use distance_code::{DistanceCode, DistanceCodeParams};
 pub use error::CodeError;
 pub use gf::PrimeField;

@@ -143,24 +143,21 @@ impl BroadcastSimulator {
         // `sample_avoiding`).
         let a_bits = self.codes.beep.params().input_bits();
         let mut drawn: HashSet<BitVec> = HashSet::new();
-        let mut inputs: Vec<Option<BitVec>> = Vec::with_capacity(n);
         let mut phase1_frames: Vec<Option<BitVec>> = Vec::with_capacity(n);
         let mut phase2_frames: Vec<Option<BitVec>> = Vec::with_capacity(n);
         for msg in outgoing {
             match msg {
                 Some(m) => {
                     let r = sample_avoiding(a_bits, &drawn, rng);
-                    drawn.insert(r.clone());
                     let carrier = self.codes.beep.encode(&r);
                     let payload = self.codes.distance.encode(&m.to_bitvec());
                     let combined = beep_codes::CombinedCode::combine(&carrier, &payload)
                         .expect("carrier weight = payload length by construction");
-                    inputs.push(Some(r));
+                    drawn.insert(r);
                     phase1_frames.push(Some(carrier));
                     phase2_frames.push(Some(combined));
                 }
                 None => {
-                    inputs.push(None);
                     phase1_frames.push(None);
                     phase2_frames.push(None);
                 }
@@ -175,8 +172,9 @@ impl BroadcastSimulator {
         self.run_phase(net, &phase1_frames, &mut heard1)?;
         self.run_phase(net, &phase2_frames, &mut heard2)?;
 
-        // --- Decode at every node.
-        self.decode_all(net, outgoing, &inputs, &drawn, &heard1, &heard2, rng)
+        // --- Decode at every node; the phase-1 frames are the carriers
+        // `C(r_v)` every node scores, so they are reused, not re-encoded.
+        self.decode_all(net, outgoing, &phase1_frames, &drawn, &heard1, &heard2, rng)
     }
 
     /// Transmits one frame per node (None = listen throughout), writing
@@ -199,12 +197,19 @@ impl BroadcastSimulator {
 
     /// The Section 4 decoder at every node, with candidate + decoy scoring
     /// (DESIGN.md §3, substitution 2).
+    ///
+    /// `carriers[v]` is transmitter `v`'s phase-1 codeword `C(r_v)`. Every
+    /// codeword is derived at most once per round: the carriers come from
+    /// the transmit side, each decoy's `C(r)` is encoded once, and the
+    /// phase-2 message pool (transmitted messages plus decoy messages) is
+    /// encoded once into a [`MessageCodebook`](beep_codes::MessageCodebook)
+    /// that every (node, accepted codeword) projection is decoded against.
     #[allow(clippy::too_many_arguments)]
     fn decode_all(
         &self,
         net: &BeepNetwork,
         outgoing: &[Option<Message>],
-        inputs: &[Option<BitVec>],
+        carriers: &[Option<BitVec>],
         transmitted: &HashSet<BitVec>,
         heard1: &[BitVec],
         heard2: &[BitVec],
@@ -215,24 +220,20 @@ impl BroadcastSimulator {
         let set_decoder = SetDecoder::new(&self.codes.beep, self.params.epsilon);
         let msg_decoder = MessageDecoder::new(&self.codes.distance);
 
-        // Global candidate pool: every transmitter's (r, C(r), m).
-        struct Candidate {
+        // Global candidate pool: every transmitter's (node, C(r)).
+        struct Candidate<'c> {
             node: usize,
-            codeword: BitVec,
+            codeword: &'c BitVec,
         }
-        let mut candidates = Vec::new();
-        for (v, input) in inputs.iter().enumerate() {
-            if let Some(r) = input {
-                candidates.push(Candidate {
-                    node: v,
-                    codeword: self.codes.beep.encode(r),
-                });
-            }
-        }
+        let candidates: Vec<Candidate> = carriers
+            .iter()
+            .enumerate()
+            .filter_map(|(node, c)| c.as_ref().map(|codeword| Candidate { node, codeword }))
+            .collect();
         // Message candidates for phase-2 nearest-codeword decoding.
         let mut message_pool: Vec<BitVec> =
             outgoing.iter().flatten().map(Message::to_bitvec).collect();
-        message_pool.sort_unstable_by_key(|b: &BitVec| b.to_string());
+        message_pool.sort_by_cached_key(BitVec::to_string);
         message_pool.dedup();
         // Shared decoys: fresh random inputs (≡ non-transmitted codewords)
         // and fresh random messages. A decoy colliding with a genuinely
@@ -249,6 +250,7 @@ impl BroadcastSimulator {
         for _ in 0..self.params.decoys {
             message_pool.push(BitVec::random_uniform(self.message_bits, rng));
         }
+        let codebook = msg_decoder.codebook(&message_pool);
 
         let mut stats = RoundStats {
             rounds: 1,
@@ -264,7 +266,7 @@ impl BroadcastSimulator {
                     // A node need not decode itself (it knows its message).
                     continue;
                 }
-                let accepted = set_decoder.accepts_codeword(&cand.codeword, &heard1[v]);
+                let accepted = set_decoder.accepts_codeword(cand.codeword, &heard1[v]);
                 let is_neighbor = graph.has_edge(v, cand.node);
                 match (is_neighbor, accepted) {
                     (true, false) => {
@@ -277,10 +279,10 @@ impl BroadcastSimulator {
                 }
                 // Phase 2: project ỹ_v onto the accepted codeword's
                 // 1-positions and nearest-codeword decode.
-                let projected = beep_codes::CombinedCode::project(&heard2[v], &cand.codeword)
+                let projected = beep_codes::CombinedCode::project(&heard2[v], cand.codeword)
                     .expect("heard string has phase length");
-                let decoded = msg_decoder
-                    .decode_candidates(&projected, message_pool.iter())
+                let decoded = codebook
+                    .decode(&projected)
                     .expect("message pool is non-empty when a candidate transmitted");
                 if is_neighbor {
                     let truth = outgoing[cand.node]
@@ -302,9 +304,7 @@ impl BroadcastSimulator {
                     stats.decoy_acceptances += 1;
                     let projected = beep_codes::CombinedCode::project(&heard2[v], decoy)
                         .expect("heard string has phase length");
-                    if let Ok(decoded) =
-                        msg_decoder.decode_candidates(&projected, message_pool.iter())
-                    {
+                    if let Ok(decoded) = codebook.decode(&projected) {
                         inbox.push(Message::from_bits(&decoded.message));
                     }
                 }
