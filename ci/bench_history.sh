@@ -37,7 +37,7 @@ check_bench() {
 [ -d "$dir" ] || { echo "bench_history: $dir is not a directory" >&2; exit 2; }
 
 # Only files carrying the headline metric take part (all engine benches
-# e8–e12 emit it; a future bench without one is simply skipped).
+# e5 and e8–e12 emit it; a future bench without one is simply skipped).
 mapfile -t files < <(grep -l '"node_rounds_per_sec' "$dir"/BENCH_*.json 2>/dev/null || true)
 if [ ${#files[@]} -eq 0 ]; then
     echo "bench_history: no BENCH_*.json with node_rounds_per_sec metrics under $dir" >&2

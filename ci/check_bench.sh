@@ -2,12 +2,13 @@
 # Shared perf-bar checker for CI and local use.
 #
 # The engine benches emit machine-readable metrics files
-# (target/bench-json/BENCH_e8.json … BENCH_e12.json —
+# (target/bench-json/BENCH_e5.json, BENCH_e8.json … BENCH_e12.json —
 # schema "beep-bench-metrics", see crates/bench/src/perfjson.rs). This
 # script asserts metrics by delegating to the hermetic Rust checker (no
 # jq/python dependency). Current invocations:
 #
 #   # Absolute floors (the per-push perf bars):
+#   ci/check_bench.sh target/bench-json/BENCH_e5.json --key arms --min 6
 #   ci/check_bench.sh target/bench-json/BENCH_e8.json --key speedup_n100000 --min 5
 #   ci/check_bench.sh target/bench-json/BENCH_e9.json --key speedup_n1000000 --min 2 --min-cores 4
 #   ci/check_bench.sh target/bench-json/BENCH_e10.json --key models --min 4

@@ -17,6 +17,7 @@
 //! `beep_bench::perfjson`). CI's perf bar asserts the `models` metric —
 //! all four noisy families benched — and archives the JSON artifact.
 
+use beep_bench::perfjson::median_nanos;
 use beep_bits::BitVec;
 use beep_net::{
     topology, AdversarialErasure, BeepNetwork, ChannelModel, GilbertElliott, Graph, Noise,
@@ -26,7 +27,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One beeper per `BEEP_STRIDE` nodes — the e9 workload shape.
 const BEEP_STRIDE: usize = 16;
@@ -65,20 +65,6 @@ fn channels() -> Vec<(&'static str, ChannelModel)> {
             ChannelModel::from(AdversarialErasure::try_new(N / 100, 0.1).expect("valid rate")),
         ),
     ]
-}
-
-/// Median wall-clock of `samples` runs of `f`.
-fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64
 }
 
 fn bench_channel_models(c: &mut Criterion) {

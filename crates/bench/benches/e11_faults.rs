@@ -26,13 +26,13 @@
 //! all three fault kinds benched above the fault-free baseline — and
 //! archives the JSON artifact.
 
+use beep_bench::perfjson::median_nanos;
 use beep_bits::BitVec;
 use beep_net::{topology, BeepNetwork, FaultKind, FaultPlan, Graph, Noise};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One beeper per `BEEP_STRIDE` nodes (see the module docs for why this
 /// is 32, not e10's 16).
@@ -67,20 +67,6 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
             FaultPlan::realize(N, FRACTION, FaultKind::ByzantineMute, 0xE11).unwrap(),
         ),
     ]
-}
-
-/// Median wall-clock of `samples` runs of `f`.
-fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64
 }
 
 fn bench_fault_overlay(c: &mut Criterion) {

@@ -23,13 +23,13 @@
 //! both adaptive policies plus a composed static+adaptive plan benched
 //! above the fault-free baseline — and archives the JSON artifact.
 
+use beep_bench::perfjson::median_nanos;
 use beep_bits::BitVec;
 use beep_net::{topology, AdaptivePolicy, BeepNetwork, FaultKind, FaultPlan, Graph, Noise};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One beeper per `BEEP_STRIDE` nodes (e11's stride: every plan stays in
 /// the scatter regime, so the overlay is the only thing that varies).
@@ -74,20 +74,6 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
                 }),
         ),
     ]
-}
-
-/// Median wall-clock of `samples` runs of `f`.
-fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64
 }
 
 fn bench_adaptive_overlay(c: &mut Criterion) {

@@ -13,6 +13,7 @@
 //! `node_rounds_per_sec_n{n}` throughput metric the perf-trajectory gate
 //! tracks across runs.
 
+use beep_bench::perfjson::median_nanos;
 use beep_bits::BitVec;
 use beep_net::{topology, Action, BeepNetwork, Graph, Noise};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -20,7 +21,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Metrics accumulated across the criterion target functions; the last
 /// target writes `BENCH_e8.json` so one file carries the whole bench.
@@ -40,21 +40,6 @@ fn sparse_instance(n: usize) -> (Graph, Vec<Action>, BitVec) {
     }
     let beepers = BitVec::from_indices(n, beeper_ids);
     (graph, actions, beepers)
-}
-
-/// Median wall-clock of `samples` runs of `f` (separate from the criterion
-/// reporting: used to print the speedup ratio the acceptance bar names).
-fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64
 }
 
 /// The round-by-round frame baseline: one `run_round_bitset_into` call

@@ -20,13 +20,13 @@
 //! smoke does not). Every size reports the headline
 //! `node_rounds_per_sec_n{n}` metric the perf-trajectory gate tracks.
 
+use beep_bench::perfjson::median_nanos;
 use beep_bits::BitVec;
 use beep_net::{topology, BeepNetwork, Graph, Noise};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One beeper per `BEEP_STRIDE` nodes: dense enough for the gather
 /// strategy, sparse enough to look like a protocol round.
@@ -46,20 +46,6 @@ fn instance(n: usize) -> (Graph, BitVec) {
     let n = graph.node_count();
     let beepers = BitVec::from_fn(n, |v| v % BEEP_STRIDE == 0);
     (graph, beepers)
-}
-
-/// Median wall-clock of `samples` runs of `f`.
-fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    let mut times: Vec<u128> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2] as f64
 }
 
 fn bench_parallel_kernel(c: &mut Criterion) {

@@ -21,6 +21,7 @@
 
 use beep_scenarios::json::Json;
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// Schema identifier of a bench metrics file.
 pub const SCHEMA_NAME: &str = "beep-bench-metrics";
@@ -43,6 +44,22 @@ pub fn output_dir() -> PathBuf {
         },
         PathBuf::from,
     )
+}
+
+/// Median wall-clock nanoseconds of `samples` runs of `f`, after one
+/// warm-up run — the direct timing behind the metrics files, separate from
+/// the criterion reporting.
+pub fn median_nanos(samples: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warm-up
+    let mut times: Vec<u128> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos()
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2] as f64
 }
 
 /// Serializes a metrics map to the schema above.

@@ -150,7 +150,7 @@ impl NoiseModel for Noise {
     }
 
     fn is_noiseless(&self) -> bool {
-        matches!(self, Noise::Noiseless)
+        self.flips_nothing()
     }
 
     fn apply_to_shard(&self, words: &mut [u64], lo: usize, hi: usize, ctx: &ChannelCtx<'_>) {

@@ -634,3 +634,47 @@ fn golden_transcripts_survive_any_thread_count() {
         );
     }
 }
+
+#[test]
+fn golden_transcripts_pin_the_gap_sampler_regimes() {
+    // The regimes the pins above miss: a rate so low that a 4096-bit shard
+    // is far wider than the gap sampler's threshold table (ε = 0.001, one
+    // shard), the Gilbert–Elliott parameters the campaigns and the e10
+    // bench use, and a rate just under ½.
+    let mut computed = Vec::new();
+    for &(seed, shards) in &[(1u64, 1usize), (9, 1)] {
+        let fp = transcript_fingerprint(&noisy_transcript(4096, seed, 0.001, shards, 8));
+        println!("eps=0.001 n=4096 seed={seed} shards={shards}: {fp:#018X}");
+        computed.push(fp);
+    }
+    let ge = GilbertElliott::try_new(0.01, 0.2, 0.1, 0.5).unwrap();
+    for seed in [1, 9] {
+        let states = (0..32).filter(|&r| ge.in_bad_state(seed, r)).count();
+        assert!(
+            (1..32).contains(&states),
+            "seed {seed}: {states} bad rounds"
+        );
+    }
+    for &(seed, shards) in &[(1u64, 1usize), (1, 8), (9, 8)] {
+        let fp = transcript_fingerprint(&channel_transcript(ge.clone().into(), seed, shards, 32));
+        println!("ge(0.01, 0.2, 0.1, 0.5) seed={seed} shards={shards}: {fp:#018X}");
+        computed.push(fp);
+    }
+    for &(seed, shards) in &[(1u64, 1usize), (1, 8)] {
+        let fp = transcript_fingerprint(&noisy_transcript(512, seed, 0.49, shards, 8));
+        println!("eps=0.49 seed={seed} shards={shards}: {fp:#018X}");
+        computed.push(fp);
+    }
+    assert_eq!(
+        computed,
+        vec![
+            0x20F3_8BC9_D8B4_C825,
+            0xC1E6_B76A_7657_5621,
+            0x646E_95E5_A36A_6D0F,
+            0x4605_EE14_FCD0_B0A5,
+            0x34D8_2C8D_528F_301A,
+            0x453E_53F2_3D54_E9EB,
+            0x9A3A_3881_A571_83B5,
+        ]
+    );
+}
